@@ -1,6 +1,8 @@
 // Google-benchmark micro-benchmarks of the reference kernel library (real
 // wall time on the host). These are not paper figures; they document the
-// numeric substrate's performance and catch kernel regressions.
+// numeric substrate's performance and catch kernel regressions. Kernels that
+// fan out over the shared thread pool use UseRealTime(): the default CPU
+// time counts only the calling thread, not the workers doing the work.
 
 #include <benchmark/benchmark.h>
 
@@ -23,7 +25,7 @@ void BM_MatMul(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_Conv2d(benchmark::State& state) {
   const int64_t size = state.range(0);
@@ -35,7 +37,7 @@ void BM_Conv2d(benchmark::State& state) {
     benchmark::DoNotOptimize(duet::kernels::conv2d(x, w, bias, 1, 1));
   }
 }
-BENCHMARK(BM_Conv2d)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_Conv2d)->Arg(16)->Arg(32)->Arg(64)->UseRealTime();
 
 void BM_LstmCell(benchmark::State& state) {
   const int64_t hidden = state.range(0);
@@ -62,7 +64,7 @@ void BM_Conv2dDirect(benchmark::State& state) {
     benchmark::DoNotOptimize(duet::kernels::conv2d_direct(x, w, bias, 1, 1));
   }
 }
-BENCHMARK(BM_Conv2dDirect)->Arg(8)->Arg(32);
+BENCHMARK(BM_Conv2dDirect)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_Conv2dIm2col(benchmark::State& state) {
   const int64_t ch = state.range(0);
@@ -74,7 +76,7 @@ void BM_Conv2dIm2col(benchmark::State& state) {
     benchmark::DoNotOptimize(duet::kernels::conv2d_im2col(x, w, bias, 1, 1));
   }
 }
-BENCHMARK(BM_Conv2dIm2col)->Arg(8)->Arg(32);
+BENCHMARK(BM_Conv2dIm2col)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_Softmax(benchmark::State& state) {
   Rng rng(4);
@@ -95,7 +97,7 @@ void BM_Attention(benchmark::State& state) {
     benchmark::DoNotOptimize(duet::kernels::multi_head_attention(x, wqkv, wo, 4));
   }
 }
-BENCHMARK(BM_Attention)->Arg(16)->Arg(64);
+BENCHMARK(BM_Attention)->Arg(16)->Arg(64)->UseRealTime();
 
 }  // namespace
 

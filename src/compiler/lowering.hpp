@@ -10,6 +10,7 @@
 
 #include "compiler/cost_model.hpp"
 #include "compiler/pass.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/graph.hpp"
 
 namespace duet {
@@ -52,9 +53,11 @@ class CompiledSubgraph {
 };
 
 // Full pipeline: graph-level passes (per `options`) then per-node cost
-// assignment for `device`.
+// assignment for `device`. `digests` (optional) supplies precomputed payload
+// digests for the CompileCache key; it never changes the result.
 CompiledSubgraph compile_for_device(const Graph& graph, DeviceKind device,
                                     const CompileOptions& options,
-                                    const DeviceCostParams& params);
+                                    const DeviceCostParams& params,
+                                    const WeightDigests* digests = nullptr);
 
 }  // namespace duet

@@ -21,7 +21,9 @@ DeviceKind baseline_device(BaselineKind kind);
 
 class Baseline {
  public:
-  Baseline(const Graph& model, BaselineKind kind, DevicePair& devices);
+  // `digests` (optional) holds `model`'s constant payload digests.
+  Baseline(const Graph& model, BaselineKind kind, DevicePair& devices,
+           const WeightDigests* digests = nullptr);
 
   BaselineKind kind() const { return kind_; }
   const CompiledSubgraph& compiled() const { return compiled_; }

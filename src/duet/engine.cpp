@@ -49,6 +49,11 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
   const bool telemetry_on = telemetry::enabled();
   telemetry::ScopedSpan pipeline_span(
       telemetry_on ? "duet-pipeline" : std::string(), "engine", model_.name());
+  {
+    telemetry::ScopedSpan span(telemetry_on ? "weight-digests" : std::string(),
+                               "engine", model_.name());
+    weights_ = WeightDigests(model_);
+  }
 
   // (1) Coarse-grained phased partitioning.
   {
@@ -73,8 +78,8 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
           calibration_fingerprint(devices_));
     }
     Profiler profiler(devices_);
-    report_.profiles =
-        profiler.profile_partition(partition_, model_, options_.profile);
+    report_.profiles = profiler.profile_partition(partition_, model_,
+                                                  options_.profile, &weights_);
     if (!options_.profile_cache_dir.empty()) {
       ProfileCache::instance().flush();
     }
@@ -104,13 +109,17 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
   report_.est_hetero_s = report_.schedule.est_latency_s;
 
   // (4) Fallback decision against the single-device baselines.
+  std::unique_ptr<Baseline> cpu;
+  std::unique_ptr<Baseline> gpu;
   {
     telemetry::ScopedSpan span(telemetry_on ? "baseline-estimate" : std::string(),
                                "engine", model_.name());
-    Baseline cpu(model_, BaselineKind::kTvmCpu, devices_);
-    Baseline gpu(model_, BaselineKind::kTvmGpu, devices_);
-    report_.est_single_cpu_s = cpu.latency(false);
-    report_.est_single_gpu_s = gpu.latency(false);
+    cpu = std::make_unique<Baseline>(model_, BaselineKind::kTvmCpu, devices_,
+                                     &weights_);
+    gpu = std::make_unique<Baseline>(model_, BaselineKind::kTvmGpu, devices_,
+                                     &weights_);
+    report_.est_single_cpu_s = cpu->latency(false);
+    report_.est_single_gpu_s = gpu->latency(false);
   }
   const double best_single =
       std::min(report_.est_single_cpu_s, report_.est_single_gpu_s);
@@ -124,13 +133,9 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
     report_.schedule.placement =
         Placement(partition_.subgraphs.size(), report_.fallback_device);
     report_.schedule.est_latency_s = best_single;
-    // Fallback executes the unpartitioned single-device code, exactly like
-    // the TVM baseline it is falling back to.
-    fallback_ = std::make_unique<Baseline>(
-        model_,
-        report_.fallback_device == DeviceKind::kCpu ? BaselineKind::kTvmCpu
-                                                    : BaselineKind::kTvmGpu,
-        devices_);
+    // Fallback executes the unpartitioned single-device code: the very TVM
+    // baseline it is falling back to.
+    fallback_ = std::move(report_.fallback_device == DeviceKind::kCpu ? cpu : gpu);
   }
 
   // (5) Build the execution plan for the chosen placement. Checked mode
@@ -142,7 +147,7 @@ DuetEngine::DuetEngine(Graph model, DuetOptions options)
                          "\" produced an invalid placement");
   }
   plan_ = ExecutionPlan::build(model_, partition_, report_.schedule.placement,
-                               devices_, options_.compile);
+                               devices_, options_.compile, &weights_);
   if (verification_enabled()) {
     verify_plan(plan_).throw_if_failed("execution plan for \"" + model_.name() +
                                        "\" is invalid");
@@ -193,7 +198,8 @@ ExecutionPlan DuetEngine::build_plan_for(const Placement& placement) const {
                          "\" is invalid");
   }
   ExecutionPlan plan = ExecutionPlan::build(model_, partition_, placement,
-                                            devices_, options_.compile);
+                                            devices_, options_.compile,
+                                            &weights_);
   if (verification_enabled()) {
     verify_plan(plan).throw_if_failed("recalibrated plan for \"" +
                                       model_.name() + "\" is invalid");

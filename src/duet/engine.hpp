@@ -80,6 +80,10 @@ class DuetEngine {
 
  private:
   Graph model_;
+  // Payload digests of model_'s constants, computed once: every fingerprint
+  // of the model and its subgraphs (profiler, baselines, plan builds) reuses
+  // them. Keyed by storage identity, which model_ keeps alive.
+  WeightDigests weights_;
   DuetOptions options_;
   DevicePair devices_;
   Partition partition_;
@@ -87,7 +91,8 @@ class DuetEngine {
   ExecutionPlan plan_;
   std::unique_ptr<SimExecutor> executor_;
   // When the fallback triggers, DUET runs the unpartitioned single-device
-  // executable (TVM's own runtime), not the queue-based plan.
+  // executable (TVM's own runtime), not the queue-based plan: the winning
+  // baseline of step (4), kept.
   std::unique_ptr<Baseline> fallback_;
 };
 

@@ -1,8 +1,15 @@
 #include "graph/fingerprint.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/threadpool.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace duet {
 namespace {
@@ -51,13 +58,103 @@ uint64_t hash_attr(const Attr& attr, uint64_t h) {
   }
 }
 
-uint64_t hash_tensor_payload(const Tensor& t, uint64_t h) {
-  if (!t.defined()) return hash_mix(h, 0);
-  h = hash_mix(h, t.byte_size());
-  return hash_bytes(t.raw_data(), t.byte_size(), h);
+// One lane step of payload_digest (the xxHash64 round): a bijection of
+// `acc` for a fixed word and of the word for a fixed `acc`, so a changed
+// word always changes its lane.
+constexpr uint64_t kWordMul = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kLaneMul = 0x9E3779B185EBCA87ull;
+
+uint64_t lane_round(uint64_t acc, uint64_t word) {
+  return std::rotl(acc + word * kWordMul, 31) * kLaneMul;
+}
+
+uint64_t load_word(const unsigned char* p) {
+  uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+uint64_t constant_digest(const Tensor& t, const WeightDigests* digests) {
+  if (digests != nullptr) {
+    if (std::optional<uint64_t> d = digests->find(t)) return *d;
+  }
+  return payload_digest(t);
 }
 
 }  // namespace
+
+uint64_t payload_digest(const Tensor& tensor) {
+  if (!tensor.defined()) return splitmix(0);
+  const auto* p = static_cast<const unsigned char*>(tensor.raw_data());
+  const size_t n = tensor.byte_size();
+  static telemetry::Counter& bytes = telemetry::counter("fingerprint.payload_bytes");
+  bytes.add(n);
+
+  constexpr size_t kLanes = 4;
+  constexpr size_t kStride = kLanes * sizeof(uint64_t);
+  uint64_t lanes[kLanes] = {0x243F6A8885A308D3ull, 0x13198A2E03707344ull,
+                            0xA4093822299F31D0ull, 0x082EFA98EC4E6C89ull};
+  size_t i = 0;
+  for (; i + kStride <= n; i += kStride) {
+    lanes[0] = lane_round(lanes[0], load_word(p + i));
+    lanes[1] = lane_round(lanes[1], load_word(p + i + 8));
+    lanes[2] = lane_round(lanes[2], load_word(p + i + 16));
+    lanes[3] = lane_round(lanes[3], load_word(p + i + 24));
+  }
+  for (size_t lane = 0; i + 8 <= n; i += 8, ++lane) {
+    lanes[lane] = lane_round(lanes[lane], load_word(p + i));
+  }
+  uint64_t tail = 0;
+  if (i < n) std::memcpy(&tail, p + i, n - i);
+
+  uint64_t h = hash_mix(hash_mix(0x5041594C4F414444ull, n),
+                        static_cast<uint64_t>(tensor.dtype()));
+  for (uint64_t lane : lanes) h = hash_mix(h, lane);
+  return splitmix(hash_mix(h, tail));
+}
+
+size_t WeightDigests::KeyHash::operator()(const Key& key) const {
+  const uint64_t h =
+      hash_mix(hash_mix(reinterpret_cast<uintptr_t>(key.data), key.bytes),
+               static_cast<uint64_t>(key.dtype));
+  return static_cast<size_t>(h);
+}
+
+WeightDigests::Key WeightDigests::key_of(const Tensor& tensor) {
+  return {tensor.raw_data(), tensor.byte_size(), tensor.dtype()};
+}
+
+WeightDigests::WeightDigests(const Graph& graph) {
+  // One slot per distinct storage; workers fill the slots in place (the map
+  // does not change shape meanwhile), taking the next-largest payload
+  // dynamically so one big embedding table does not serialize a chunk.
+  std::vector<std::pair<const Tensor*, uint64_t*>> work;
+  for (const Node& node : graph.nodes()) {
+    if (!node.is_constant() || !node.value.defined()) continue;
+    auto [it, fresh] = map_.emplace(key_of(node.value), 0);
+    if (fresh) work.emplace_back(&node.value, &it->second);
+  }
+  std::stable_sort(work.begin(), work.end(), [](const auto& a, const auto& b) {
+    return a.first->byte_size() > b.first->byte_size();
+  });
+  std::atomic<size_t> next{0};
+  ThreadPool& pool = global_thread_pool();
+  pool.parallel_for(
+      std::min(pool.size(), work.size()),
+      [&](size_t) {
+        for (size_t i = next.fetch_add(1); i < work.size();
+             i = next.fetch_add(1)) {
+          *work[i].second = payload_digest(*work[i].first);
+        }
+      },
+      /*inline_below=*/2);
+}
+
+std::optional<uint64_t> WeightDigests::find(const Tensor& tensor) const {
+  auto it = map_.find(key_of(tensor));
+  if (it == map_.end()) return std::nullopt;
+  return it->second;
+}
 
 uint64_t hash_mix(uint64_t h, uint64_t v) {
   // boost::hash_combine's 64-bit shape with a splitmix-strengthened operand:
@@ -98,7 +195,8 @@ uint64_t fingerprint_names(const Graph& graph) {
   return h;
 }
 
-GraphFingerprint fingerprint_graph(const Graph& graph) {
+GraphFingerprint fingerprint_graph(const Graph& graph,
+                                   const WeightDigests* digests) {
   const size_t n = graph.num_nodes();
   // Per-node canonical hashes, structural and value-inclusive. nodes_ is
   // topological by construction (inputs must pre-exist), so every input hash
@@ -135,7 +233,7 @@ GraphFingerprint fingerprint_graph(const Graph& graph) {
       v = hash_mix(v, hv[static_cast<size_t>(in)]);
     }
     if (node.is_constant()) {
-      v = hash_tensor_payload(node.value, v);
+      v = hash_mix(v, constant_digest(node.value, digests));
     }
     hs[i] = h;
     hv[i] = v;

@@ -8,7 +8,7 @@
 //    same computation hash identically. This keys everything whose result
 //    depends only on the *shape* of the computation: modeled per-kernel
 //    costs, and therefore profiling statistics.
-//  * `values` — `structural` plus the payload bytes of every constant.
+//  * `values` — `structural` plus the payload digest of every constant.
 //    This keys numerically-executable artifacts (CompiledSubgraph embeds the
 //    weight tensors), where two structurally identical subgraphs with
 //    different weights must not share a cache entry.
@@ -18,10 +18,16 @@
 // attrs, output shape/dtype and the hashes of its inputs *positionally*, so
 // add(a, a) and add(a, b) differ. kInput nodes mix in their ordinal in
 // input_ids() order — the graph's signature — instead of their name.
+//
+// A constant enters `values` as one word: its payload digest, a pure function
+// of its bytes, so a WeightDigests table computed once per model serves every
+// fingerprint of the model and of its partition subgraphs.
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "graph/graph.hpp"
 
@@ -36,7 +42,49 @@ struct GraphFingerprint {
   }
 };
 
-GraphFingerprint fingerprint_graph(const Graph& graph);
+// Digest of a constant's payload: its bytes, byte length and dtype, and
+// nothing else — not its shape, position or name. Four independent lanes of
+// 8-byte words keep the multiplier pipelines busy (the pass runs at memory
+// bandwidth), then the lanes, the sub-word tail, the length and the dtype
+// fold together and end in a splitmix avalanche. Adds the bytes it reads to
+// the `fingerprint.payload_bytes` telemetry counter.
+uint64_t payload_digest(const Tensor& tensor);
+
+// Payload digests of one graph's constants, keyed by storage identity: data
+// pointer, byte length and dtype. The key says nothing about the bytes, so a
+// table is only sound while the graph it was built from keeps those buffers
+// alive and unmodified — DuetEngine builds one from its own model and holds
+// both for its lifetime. Partition subgraphs alias the parent's constant
+// buffers, so the parent's table covers them too.
+class WeightDigests {
+ public:
+  WeightDigests() = default;
+  // Digests every distinct constant storage of `graph` in one pass over the
+  // shared thread pool, largest first.
+  explicit WeightDigests(const Graph& graph);
+
+  // The digest of `tensor`'s storage, or nullopt when the table lacks it.
+  std::optional<uint64_t> find(const Tensor& tensor) const;
+
+ private:
+  struct Key {
+    const void* data = nullptr;
+    size_t bytes = 0;
+    DType dtype = DType::kFloat32;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+  static Key key_of(const Tensor& tensor);
+
+  std::unordered_map<Key, uint64_t, KeyHash> map_;
+};
+
+// `digests`, when given, supplies the payload digest of every constant it
+// covers; the others are digested inline. The result is the same either way.
+GraphFingerprint fingerprint_graph(const Graph& graph,
+                                   const WeightDigests* digests = nullptr);
 
 // Positional hash of every node name (in stored order) plus the output list.
 // Names are deliberately excluded from the two fingerprints above, but a

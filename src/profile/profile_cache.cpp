@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "compiler/compile_cache.hpp"
 #include "telemetry/metrics.hpp"
@@ -114,7 +117,12 @@ void ProfileCache::flush() {
     std::error_code ec;
     std::filesystem::create_directories(path.parent_path(), ec);
   }
-  std::FILE* f = std::fopen(disk_path_.c_str(), "w");
+  // Write a sibling temporary, then rename it over the target: readers and
+  // a crash see either the old file or the new one, never a torn mix. The
+  // pid keeps concurrent writers in different processes off one temporary.
+  const std::filesystem::path tmp(disk_path_ + ".tmp." +
+                                  std::to_string(::getpid()));
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return;
   std::fprintf(f, "%s v%d calib %" PRIx64 "\n", kMagic, kFormatVersion,
                calibration_key_);
@@ -123,7 +131,14 @@ void ProfileCache::flush() {
                  key, static_cast<unsigned long long>(s.count), s.mean, s.stddev,
                  s.min, s.max, s.p50, s.p90, s.p99, s.p999);
   }
-  std::fclose(f);
+  const bool written = std::ferror(f) == 0;
+  std::error_code ec;
+  if (std::fclose(f) != 0 || !written) {
+    std::filesystem::remove(tmp, ec);
+    return;
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) std::filesystem::remove(tmp, ec);
 }
 
 void ProfileCache::close_disk() {

@@ -60,7 +60,8 @@ class ProfileCache {
   // missing file, wrong version, or wrong calibration key loads nothing
   // (and flush() will then rewrite the file under the new calibration).
   size_t open_disk(const std::string& path, uint64_t calibration_key);
-  // Writes the in-memory map to the opened path (no-op when none is open).
+  // Writes the in-memory map to the opened path (no-op when none is open),
+  // atomically: a temporary beside the target, renamed over it.
   void flush();
   void close_disk();
 

@@ -17,7 +17,8 @@ namespace duet {
 
 DeviceProfile Profiler::profile_one(const Graph& graph, const GraphFingerprint& fp,
                                     DeviceKind kind, const ProfileOptions& options,
-                                    const CompiledSubgraph* precompiled) const {
+                                    const CompiledSubgraph* precompiled,
+                                    const WeightDigests* digests) const {
   telemetry::ScopedSpan span(
       telemetry::enabled() ? "profile:" + graph.name() : std::string(),
       "profile", device_kind_name(kind));
@@ -34,7 +35,8 @@ DeviceProfile Profiler::profile_one(const Graph& graph, const GraphFingerprint& 
   if (precompiled != nullptr) {
     prof.compiled = *precompiled;
   } else {
-    prof.compiled = compile_for_device(graph, kind, options.compile, dev.params());
+    prof.compiled =
+        compile_for_device(graph, kind, options.compile, dev.params(), digests);
     static telemetry::Counter& compiles = telemetry::counter("profile.compiles");
     compiles.add(1);
   }
@@ -54,12 +56,13 @@ DeviceProfile Profiler::profile_one(const Graph& graph, const GraphFingerprint& 
 
 DeviceProfile Profiler::profile_graph(const Graph& graph, DeviceKind kind,
                                       const ProfileOptions& options) const {
-  return profile_one(graph, fingerprint_graph(graph), kind, options, nullptr);
+  return profile_one(graph, fingerprint_graph(graph), kind, options, nullptr,
+                     nullptr);
 }
 
 std::vector<SubgraphProfile> Profiler::profile_partition(
     const Partition& partition, const Graph& parent,
-    const ProfileOptions& options) const {
+    const ProfileOptions& options, const WeightDigests* digests) const {
   telemetry::ScopedSpan span("profile-partition", "profile", parent.name());
   const size_t n = partition.subgraphs.size();
   ProfileCache& cache = ProfileCache::instance();
@@ -72,10 +75,11 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
     for (const Subgraph& sub : partition.subgraphs) {
       SubgraphProfile p;
       p.subgraph_id = sub.id;
-      p.per_device[static_cast<int>(DeviceKind::kCpu)] =
-          profile_graph(sub.graph, DeviceKind::kCpu, options);
-      p.per_device[static_cast<int>(DeviceKind::kGpu)] =
-          profile_graph(sub.graph, DeviceKind::kGpu, options);
+      const GraphFingerprint fp = fingerprint_graph(sub.graph, digests);
+      for (int d = 0; d < kNumDeviceKinds; ++d) {
+        p.per_device[d] = profile_one(sub.graph, fp, static_cast<DeviceKind>(d),
+                                      options, nullptr, digests);
+      }
       p.input_bytes = sub.input_bytes(parent);
       p.output_bytes = sub.output_bytes(parent);
       out.push_back(std::move(p));
@@ -85,7 +89,7 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
 
   std::vector<GraphFingerprint> fps(n);
   for (size_t i = 0; i < n; ++i) {
-    fps[i] = fingerprint_graph(partition.subgraphs[i].graph);
+    fps[i] = fingerprint_graph(partition.subgraphs[i].graph, digests);
   }
 
   // Structural equivalence classes; the first member is the representative.
@@ -121,7 +125,8 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
       futures.push_back(global_thread_pool().submit([&, t] {
         CompiledSubgraph compiled =
             compile_for_device(partition.subgraphs[t.rep].graph, t.dev,
-                               options.compile, devices_.device(t.dev).params());
+                               options.compile, devices_.device(t.dev).params(),
+                               digests);
         std::lock_guard<std::mutex> lock(artifacts_mutex);
         artifacts.emplace(
             std::make_pair(fps[t.rep].structural, static_cast<int>(t.dev)),
@@ -148,7 +153,7 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
         auto it = artifacts.find(std::make_pair(fps[i].structural, d));
         p.per_device[d] =
             profile_one(sub.graph, fps[i], dev, options,
-                        it != artifacts.end() ? &it->second : nullptr);
+                        it != artifacts.end() ? &it->second : nullptr, digests);
       }
     } else {
       for (int d = 0; d < kNumDeviceKinds; ++d) {

@@ -61,10 +61,13 @@ class Profiler {
  public:
   explicit Profiler(DevicePair& devices) : devices_(devices) {}
 
-  // Profiles every subgraph of the partition on both devices.
+  // Profiles every subgraph of the partition on both devices. `digests`
+  // (optional) holds the parent's constant payload digests, which the
+  // subgraphs' aliased constants reuse for their fingerprints.
   std::vector<SubgraphProfile> profile_partition(
       const Partition& partition, const Graph& parent,
-      const ProfileOptions& options = {}) const;
+      const ProfileOptions& options = {},
+      const WeightDigests* digests = nullptr) const;
 
   // Profiles one standalone graph on one device.
   DeviceProfile profile_graph(const Graph& graph, DeviceKind kind,
@@ -76,7 +79,8 @@ class Profiler {
   // already built the artifact — and the serial timing loop.
   DeviceProfile profile_one(const Graph& graph, const GraphFingerprint& fp,
                             DeviceKind kind, const ProfileOptions& options,
-                            const CompiledSubgraph* precompiled) const;
+                            const CompiledSubgraph* precompiled,
+                            const WeightDigests* digests) const;
 
   DevicePair& devices_;
 };

@@ -37,7 +37,8 @@ const PlannedSubgraph& ExecutionPlan::subgraph(int id) const {
 
 ExecutionPlan ExecutionPlan::build(const Graph& parent, Partition partition,
                                    Placement placement, const DevicePair& devices,
-                                   const CompileOptions& options) {
+                                   const CompileOptions& options,
+                                   const WeightDigests* digests) {
   DUET_CHECK_EQ(placement.size(), partition.subgraphs.size());
   telemetry::ScopedSpan span("plan-build", "plan", parent.name());
   ExecutionPlan plan;
@@ -53,8 +54,8 @@ ExecutionPlan ExecutionPlan::build(const Graph& parent, Partition partition,
     // compile_for_device is content-addressed: when the profiler already
     // compiled this subgraph for this device, this is a CompileCache hit and
     // the plan reuses that artifact instead of recompiling.
-    ps.compiled =
-        compile_for_device(sub.graph, ps.device, options, dev.params());
+    ps.compiled = compile_for_device(sub.graph, ps.device, options,
+                                     dev.params(), digests);
 
     // All optimization passes copy kInput nodes in id order, so the compiled
     // graph's inputs align positionally with the subgraph's boundary inputs.

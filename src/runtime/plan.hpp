@@ -101,9 +101,11 @@ class ExecutionPlan {
   void clear_memory_plan() { memory_plan_.reset(); }
 
   // Builds a plan by compiling every subgraph for its placed device.
+  // `digests` (optional) holds `parent`'s constant payload digests.
   static ExecutionPlan build(const Graph& parent, Partition partition,
                              Placement placement, const DevicePair& devices,
-                             const CompileOptions& options);
+                             const CompileOptions& options,
+                             const WeightDigests* digests = nullptr);
 
  private:
   Graph parent_;

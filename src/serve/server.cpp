@@ -143,13 +143,15 @@ void DuetServer::worker_loop() {
       FlightRecorder::instance().record(FlightKind::kShed, request.trace_id,
                                         static_cast<uint64_t>(wait_us));
       response.status = RequestStatus::kShed;
-      resolve(request, std::move(response));
+      // Triggers before resolve(), as on the completion path: once the last
+      // request resolves, drain() returns and the dump must already exist.
       if (dump_trigger_.on_deadline_miss(now_us)) {
         maybe_flight_dump("deadline-miss-burst");
       }
       if (dump_trigger_.on_outcome(/*shed=*/true)) {
         maybe_flight_dump("shed-rate");
       }
+      resolve(request, std::move(response));
       continue;
     }
     FlightRecorder::instance().record(FlightKind::kPickup, request.trace_id,

@@ -1,5 +1,6 @@
 // Tests for the content-addressed caches: fingerprint discrimination and
-// canonicalization, the transparent CompileCache inside compile_for_device,
+// canonicalization, constant payload digests and the per-engine
+// WeightDigests table, the transparent CompileCache inside compile_for_device,
 // the disk-backed ProfileCache (round trip + calibration invalidation), the
 // profiler's once-per-equivalence-class compile guarantee, and the engine-
 // level guarantees (bit-identical outputs cache on/off, warm runs skip
@@ -10,6 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "compiler/compile_cache.hpp"
 #include "duet/duet.hpp"
@@ -152,6 +155,102 @@ TEST(Fingerprint, InsertionOrderDoesNotMatter) {
   EXPECT_EQ(a.values, b.values);
 }
 
+// --- payload digests and the WeightDigests table ---------------------------------
+
+// For every zoo model and every one of its partition subgraphs, the
+// fingerprint with the model's table equals the one digested inline, and the
+// table covers every subgraph constant (they alias the model's buffers).
+TEST(WeightDigests, TableFingerprintsMatchInlineOnEveryZooSubgraph) {
+  for (const std::string& name : models::zoo_model_names()) {
+    const Graph model = models::build_by_name_batched(name, 1, /*tiny=*/true);
+    const WeightDigests table(model);
+    EXPECT_EQ(fingerprint_graph(model, &table), fingerprint_graph(model)) << name;
+    const Partition partition = partition_phased(model);
+    for (const Subgraph& sub : partition.subgraphs) {
+      EXPECT_EQ(fingerprint_graph(sub.graph, &table),
+                fingerprint_graph(sub.graph))
+          << name << " " << sub.label;
+      for (const Node& node : sub.graph.nodes()) {
+        if (!node.is_constant()) continue;
+        EXPECT_TRUE(table.find(node.value).has_value())
+            << name << " " << sub.label << " " << node.name;
+      }
+    }
+  }
+}
+
+// 1003 float32s = 4012 bytes: 125 four-lane strides, one leftover full word
+// at bytes [4000, 4008) and a 4-byte sub-word tail.
+TEST(WeightDigests, EveryBitOfEveryRegionReachesTheDigest) {
+  Rng rng(7);
+  const Tensor base = Tensor::randn(Shape{1003}, rng);
+  ASSERT_EQ(base.byte_size(), 4012u);
+  const uint64_t digest = payload_digest(base);
+  std::set<uint64_t> seen = {digest};
+  size_t flips = 0;
+  const auto flip_all_bits = [&](size_t offset, size_t bytes) {
+    for (size_t bit = 0; bit < bytes * 8; ++bit) {
+      Tensor t = base.clone();
+      static_cast<unsigned char*>(t.raw_data())[offset + bit / 8] ^=
+          static_cast<unsigned char>(1u << (bit % 8));
+      seen.insert(payload_digest(t));
+      ++flips;
+    }
+  };
+  flip_all_bits(0, 8);     // first word (lane 0 of the first stride)
+  flip_all_bits(2008, 8);  // a middle word (lane 3)
+  flip_all_bits(4000, 8);  // the last full word (leftover, past the strides)
+  flip_all_bits(4008, 4);  // the sub-word tail
+  EXPECT_EQ(seen.size(), flips + 1) << "a bit flip left the digest unchanged";
+}
+
+TEST(WeightDigests, DigestIsItsBytesLengthAndDtypeOnly) {
+  Rng rng(8);
+  const Tensor t = Tensor::randn(Shape{6, 5}, rng);
+  // Shape and storage are not part of the digest: a reshaped alias and a
+  // deep copy digest alike.
+  EXPECT_EQ(payload_digest(t), payload_digest(t.reshaped(Shape{30})));
+  EXPECT_EQ(payload_digest(t), payload_digest(t.clone()));
+  // Same bytes under another dtype differ.
+  Tensor as_int(Shape{6, 5}, DType::kInt32);
+  std::memcpy(as_int.raw_data(), t.raw_data(), t.byte_size());
+  EXPECT_NE(payload_digest(t), payload_digest(as_int));
+  // A zero appended to the payload differs (length is mixed in).
+  Tensor longer = Tensor::zeros(Shape{31});
+  std::memcpy(longer.raw_data(), t.raw_data(), t.byte_size());
+  EXPECT_NE(payload_digest(t), payload_digest(longer));
+}
+
+// A table only answers for the storages it was built from: equal bytes in
+// another buffer are digested inline (and, being equal, digest alike).
+TEST(WeightDigests, TableIsKeyedByStorage) {
+  const Graph model = mlp("wd");
+  const WeightDigests table(model);
+  for (const Node& node : model.nodes()) {
+    if (!node.is_constant()) continue;
+    ASSERT_TRUE(table.find(node.value).has_value()) << node.name;
+    EXPECT_EQ(*table.find(node.value), payload_digest(node.value));
+    EXPECT_FALSE(table.find(node.value.clone()).has_value()) << node.name;
+  }
+}
+
+// One engine build digests each weight byte exactly once; a later plan build
+// reuses the engine's table and digests nothing.
+TEST_F(CacheTest, EngineDigestsEveryWeightByteOnce) {
+  telemetry::ScopedTelemetry on(true);
+  for (const char* name : {"wide-deep", "dlrm"}) {
+    const Graph model = models::build_by_name_batched(name, 1, /*tiny=*/true);
+    telemetry::Counter& bytes = telemetry::counter("fingerprint.payload_bytes");
+    bytes.reset();
+    DuetEngine engine(model);
+    EXPECT_EQ(bytes.value(), model.param_bytes()) << name;
+    const ExecutionPlan plan =
+        engine.build_plan_for(engine.report().schedule.placement);
+    EXPECT_EQ(bytes.value(), model.param_bytes()) << name;
+    EXPECT_EQ(plan.placement(), engine.plan().placement());
+  }
+}
+
 // --- CompileCache ----------------------------------------------------------------
 
 TEST_F(CacheTest, CompileForDeviceHitsOnRecompile) {
@@ -259,6 +358,41 @@ TEST_F(CacheTest, DiskRoundTripAndCalibrationInvalidation) {
   pc.flush();
   pc.clear();
   EXPECT_EQ(pc.open_disk(path, 0xAAu), 0u);
+  pc.close_disk();
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CacheTest, FlushReplacesTheFileAtomically) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "duet-cache-flush";
+  std::filesystem::remove_all(dir);
+  const std::filesystem::path path = dir / "profile_cache.v1.txt";
+  ProfileCache& pc = ProfileCache::instance();
+  SummaryStats s;
+  s.count = 3;
+  s.mean = 2.5e-3;
+
+  pc.open_disk(path.string(), 0xCCu);
+  pc.insert(0x1u, s);
+  pc.flush();
+  ASSERT_TRUE(std::filesystem::exists(path));
+
+  // Flush over the existing file with more entries.
+  pc.insert(0x2u, s);
+  pc.flush();
+  pc.close_disk();
+
+  pc.clear();
+  EXPECT_EQ(pc.open_disk(path.string(), 0xCCu), 2u);
+  SummaryStats out;
+  EXPECT_TRUE(pc.lookup(0x2u, &out));
+  EXPECT_EQ(out.mean, s.mean);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"profile_cache.v1.txt"})
+      << "flush left a temporary behind";
   pc.close_disk();
   std::filesystem::remove_all(dir);
 }
