@@ -23,7 +23,6 @@ uint64_t hash_op_class(uint64_t h, const OpClassCost& c) {
 }  // namespace
 
 uint64_t compile_options_key(const CompileOptions& options) {
-  if (options.schedule_quality) return kUncacheableOptionsKey;
   uint64_t bits = 0;
   bits |= options.enable_fusion ? 1u : 0u;
   bits |= options.enable_constant_fold ? 2u : 0u;
@@ -58,15 +57,11 @@ CompileCache& CompileCache::instance() {
   return cache;
 }
 
-uint64_t CompileCache::make_key(const GraphFingerprint& fp, DeviceKind device,
-                                uint64_t options_key, uint64_t params_key) {
-  uint64_t h = hash_mix(fp.structural, fp.values);
-  h = hash_mix(h, static_cast<uint64_t>(device));
-  h = hash_mix(h, options_key);
-  return hash_mix(h, params_key);
+uint64_t CompileCache::make_key(const GraphFingerprint& fp, uint64_t options_key) {
+  return hash_mix(hash_mix(fp.structural, fp.values), options_key);
 }
 
-std::shared_ptr<const CompiledSubgraph> CompileCache::lookup(uint64_t key) {
+std::shared_ptr<const Graph> CompileCache::lookup(uint64_t key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -81,16 +76,10 @@ std::shared_ptr<const CompiledSubgraph> CompileCache::lookup(uint64_t key) {
   return it->second;
 }
 
-void CompileCache::insert(uint64_t key,
-                          std::shared_ptr<const CompiledSubgraph> value) {
+void CompileCache::insert(uint64_t key, std::shared_ptr<const Graph> value) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (map_.size() >= kMaxEntries) map_.clear();
   map_[key] = std::move(value);
-}
-
-void CompileCache::count_bypass() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.bypasses;
 }
 
 void CompileCache::clear() {

@@ -63,11 +63,15 @@ Graph fold_batch_norm(const Graph& g) {
       const int64_t oc = w.shape().dim(0);
       const int64_t per_filter = w.numel() / oc;
 
-      Tensor w2 = w.clone();
-      float* pw = w2.data<float>();
+      // Scaled straight into a fresh tensor: one pass over the weights.
+      Tensor w2(w.shape(), w.dtype());
+      const float* pw = w.data<float>();
+      float* pw2 = w2.data<float>();
       const float* ps = scale.data<float>();
       for (int64_t o = 0; o < oc; ++o) {
-        for (int64_t i = 0; i < per_filter; ++i) pw[o * per_filter + i] *= ps[o];
+        for (int64_t i = 0; i < per_filter; ++i) {
+          pw2[o * per_filter + i] = pw[o * per_filter + i] * ps[o];
+        }
       }
       Tensor b2(Shape{oc});
       float* pb = b2.data<float>();

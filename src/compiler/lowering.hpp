@@ -52,9 +52,21 @@ class CompiledSubgraph {
   double est_total_ = 0.0;
 };
 
-// Full pipeline: graph-level passes (per `options`) then per-node cost
-// assignment for `device`. `digests` (optional) supplies precomputed payload
-// digests for the CompileCache key; it never changes the result.
+// Device-independent half: the standard pass pipeline under `options`. The
+// result is the same for every device, so the CompileCache serves it keyed
+// by the graph's values, names and options only. `digests` (optional)
+// supplies precomputed payload digests for that key; it never changes the
+// result.
+Graph optimize_graph(const Graph& graph, const CompileOptions& options,
+                     const WeightDigests* digests = nullptr);
+
+// Per-device half: the per-node cost walk that assigns flops, bytes and
+// modeled time for `device`. Cheap, and never cached.
+CompiledSubgraph lower_for_device(Graph optimized, DeviceKind device,
+                                  const CompileOptions& options,
+                                  const DeviceCostParams& params);
+
+// Both halves: optimize_graph, then lower_for_device.
 CompiledSubgraph compile_for_device(const Graph& graph, DeviceKind device,
                                     const CompileOptions& options,
                                     const DeviceCostParams& params,

@@ -1,6 +1,7 @@
 #include "profile/profile_cache.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +24,16 @@ uint64_t hash_double(uint64_t h, double d) {
   return hash_mix(h, bits);
 }
 
+// A row the schedulers can trust: every statistic finite and non-negative,
+// and min <= max. A hand-edited or corrupted file must not feed them NaN,
+// infinite or negative latencies.
+bool plausible(const SummaryStats& s) {
+  for (double v : {s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p99, s.p999}) {
+    if (!std::isfinite(v) || v < 0.0) return false;
+  }
+  return s.min <= s.max;
+}
+
 }  // namespace
 
 uint64_t profile_stats_key(const GraphFingerprint& fp, DeviceKind device,
@@ -32,7 +43,12 @@ uint64_t profile_stats_key(const GraphFingerprint& fp, DeviceKind device,
   h = hash_mix(h, static_cast<uint64_t>(device));
   h = hash_mix(h, static_cast<uint64_t>(options.runs));
   h = hash_mix(h, options.with_noise ? 1u : 0u);
-  h = hash_mix(h, compile_options_key(options.compile));
+  // A schedule_quality hook changes the lowered costs but has no identity to
+  // hash: hooked profiles get a key space of their own, apart from unhooked
+  // ones.
+  h = hash_mix(h, options.compile.schedule_quality
+                      ? ~0ull
+                      : compile_options_key(options.compile));
   h = hash_mix(h, device_params_key(params));
   return hash_double(h, options.with_noise ? noise_sigma : 0.0);
 }
@@ -83,6 +99,7 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
   disk_path_ = path;
   calibration_key_ = calibration_key;
   stats_.disk_loaded = 0;
+  stats_.disk_rejected = 0;
 
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return 0;
@@ -90,6 +107,7 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
   int version = 0;
   uint64_t calib = 0;
   size_t accepted = 0;
+  size_t rejected = 0;
   if (std::fscanf(f, "%31s v%d calib %" SCNx64 "\n", magic, &version, &calib) == 3 &&
       std::strcmp(magic, kMagic) == 0 && version == kFormatVersion &&
       calib == calibration_key) {
@@ -100,12 +118,20 @@ size_t ProfileCache::open_disk(const std::string& path, uint64_t calibration_key
                        &key, &count, &s.mean, &s.stddev, &s.min, &s.max, &s.p50,
                        &s.p90, &s.p99, &s.p999) == 10) {
       s.count = static_cast<size_t>(count);
+      if (!plausible(s)) {
+        ++rejected;
+        continue;
+      }
       map_[key] = s;
       ++accepted;
     }
   }
   std::fclose(f);
   stats_.disk_loaded = accepted;
+  stats_.disk_rejected = rejected;
+  static telemetry::Counter& rejected_rows =
+      telemetry::counter("profile.cache.disk_rejected");
+  rejected_rows.add(rejected);
   return accepted;
 }
 
@@ -162,8 +188,10 @@ ProfileCache::Stats ProfileCache::stats() const {
 void ProfileCache::reset_stats() {
   std::lock_guard<std::mutex> lock(mutex_);
   const uint64_t loaded = stats_.disk_loaded;
+  const uint64_t rejected = stats_.disk_rejected;
   stats_ = Stats{};
   stats_.disk_loaded = loaded;
+  stats_.disk_rejected = rejected;
 }
 
 }  // namespace duet

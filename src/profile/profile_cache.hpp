@@ -46,7 +46,8 @@ class ProfileCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t disk_loaded = 0;  // entries read from the last open_disk
+    uint64_t disk_loaded = 0;    // entries read from the last open_disk
+    uint64_t disk_rejected = 0;  // rows it skipped as out of range
     size_t entries = 0;
   };
 
@@ -59,6 +60,8 @@ class ProfileCache {
   // Loads `path` into memory. Returns the number of entries accepted; a
   // missing file, wrong version, or wrong calibration key loads nothing
   // (and flush() will then rewrite the file under the new calibration).
+  // Rows with a NaN, infinite or negative statistic, or min > max, are
+  // skipped and counted in Stats::disk_rejected.
   size_t open_disk(const std::string& path, uint64_t calibration_key);
   // Writes the in-memory map to the opened path (no-op when none is open),
   // atomically: a temporary beside the target, renamed over it.

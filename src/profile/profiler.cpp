@@ -1,8 +1,9 @@
 #include "profile/profiler.hpp"
 
+#include <array>
 #include <future>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -67,26 +68,6 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
   const size_t n = partition.subgraphs.size();
   ProfileCache& cache = ProfileCache::instance();
 
-  // Cache disabled (--no-cache): the pre-cache behavior, every subgraph
-  // compiled and measured independently.
-  if (!cache.enabled()) {
-    std::vector<SubgraphProfile> out;
-    out.reserve(n);
-    for (const Subgraph& sub : partition.subgraphs) {
-      SubgraphProfile p;
-      p.subgraph_id = sub.id;
-      const GraphFingerprint fp = fingerprint_graph(sub.graph, digests);
-      for (int d = 0; d < kNumDeviceKinds; ++d) {
-        p.per_device[d] = profile_one(sub.graph, fp, static_cast<DeviceKind>(d),
-                                      options, nullptr, digests);
-      }
-      p.input_bytes = sub.input_bytes(parent);
-      p.output_bytes = sub.output_bytes(parent);
-      out.push_back(std::move(p));
-    }
-    return out;
-  }
-
   std::vector<GraphFingerprint> fps(n);
   for (size_t i = 0; i < n; ++i) {
     fps[i] = fingerprint_graph(partition.subgraphs[i].graph, digests);
@@ -98,45 +79,43 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
     class_rep.emplace(fps[i].structural, i);
   }
 
-  // Compile the representatives whose stats are not already cached, fanned
-  // out over subgraphs×devices on the shared pool. Only the compiles run in
-  // parallel: the timing loop stays serial (below, in deterministic class
-  // order) because each device's noise rng is stateful.
-  struct Task {
-    size_t rep;
-    DeviceKind dev;
-  };
-  std::vector<Task> tasks;
+  // One pool task per representative with a device whose stats are not
+  // cached (every device when the cache is off): it optimizes the graph once
+  // and lowers it for each such device. Only the compiles run in parallel:
+  // the timing loop stays serial (below, in deterministic class order)
+  // because each device's noise rng is stateful. Each task writes its own
+  // slots of `artifacts`, indexed rep * kNumDeviceKinds + device.
+  std::vector<std::optional<CompiledSubgraph>> artifacts(n * kNumDeviceKinds);
+  std::vector<std::future<void>> futures;
+  uint64_t lowered = 0;
   for (const auto& [sfp, rep] : class_rep) {
+    std::array<bool, kNumDeviceKinds> missing{};
+    bool any_missing = false;
     for (int d = 0; d < kNumDeviceKinds; ++d) {
-      const DeviceKind dev = static_cast<DeviceKind>(d);
-      const uint64_t key = profile_stats_key(fps[rep], dev, options,
-                                             devices_.device(dev).params(),
-                                             devices_.device(dev).noise_sigma());
-      if (!cache.contains(key)) tasks.push_back({rep, dev});
+      const DeviceKind kind = static_cast<DeviceKind>(d);
+      const Device& dev = devices_.device(kind);
+      missing[d] = !cache.enabled() ||
+                   !cache.contains(profile_stats_key(fps[rep], kind, options,
+                                                     dev.params(),
+                                                     dev.noise_sigma()));
+      any_missing |= missing[d];
+      lowered += missing[d] ? 1 : 0;
     }
+    if (!any_missing) continue;
+    futures.push_back(global_thread_pool().submit([&, rep = rep, missing] {
+      const Graph optimized =
+          optimize_graph(partition.subgraphs[rep].graph, options.compile, digests);
+      for (int d = 0; d < kNumDeviceKinds; ++d) {
+        if (!missing[d]) continue;
+        const DeviceKind dev = static_cast<DeviceKind>(d);
+        artifacts[rep * kNumDeviceKinds + d] = lower_for_device(
+            optimized, dev, options.compile, devices_.device(dev).params());
+      }
+    }));
   }
-  std::map<std::pair<uint64_t, int>, CompiledSubgraph> artifacts;
-  if (!tasks.empty()) {
-    std::mutex artifacts_mutex;
-    std::vector<std::future<void>> futures;
-    futures.reserve(tasks.size());
-    for (const Task& t : tasks) {
-      futures.push_back(global_thread_pool().submit([&, t] {
-        CompiledSubgraph compiled =
-            compile_for_device(partition.subgraphs[t.rep].graph, t.dev,
-                               options.compile, devices_.device(t.dev).params(),
-                               digests);
-        std::lock_guard<std::mutex> lock(artifacts_mutex);
-        artifacts.emplace(
-            std::make_pair(fps[t.rep].structural, static_cast<int>(t.dev)),
-            std::move(compiled));
-      }));
-    }
-    for (auto& f : futures) f.get();
-    static telemetry::Counter& compiles = telemetry::counter("profile.compiles");
-    compiles.add(tasks.size());
-  }
+  for (auto& f : futures) f.get();
+  static telemetry::Counter& compiles = telemetry::counter("profile.compiles");
+  compiles.add(lowered);
 
   // Serial measurement + assembly. Duplicate class members copy the
   // representative's profile directly (no cache traffic), so one run of this
@@ -149,11 +128,11 @@ std::vector<SubgraphProfile> Profiler::profile_partition(
     const size_t rep = class_rep.at(fps[i].structural);
     if (rep == i) {
       for (int d = 0; d < kNumDeviceKinds; ++d) {
-        const DeviceKind dev = static_cast<DeviceKind>(d);
-        auto it = artifacts.find(std::make_pair(fps[i].structural, d));
-        p.per_device[d] =
-            profile_one(sub.graph, fps[i], dev, options,
-                        it != artifacts.end() ? &it->second : nullptr, digests);
+        const std::optional<CompiledSubgraph>& artifact =
+            artifacts[i * kNumDeviceKinds + d];
+        p.per_device[d] = profile_one(sub.graph, fps[i], static_cast<DeviceKind>(d),
+                                      options, artifact ? &*artifact : nullptr,
+                                      digests);
       }
     } else {
       for (int d = 0; d < kNumDeviceKinds; ++d) {

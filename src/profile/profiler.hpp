@@ -10,8 +10,9 @@
 // offline, one-time cost — and a cached one: statistics are content-
 // addressed by the subgraph's *structural* fingerprint (modeled time never
 // depends on constant payloads), so each structural equivalence class
-// compiles and profiles once, and a warm ProfileCache (optionally persisted
-// to disk) skips the measurement loop entirely.
+// compiles and profiles once — with or without the caches — and a warm
+// ProfileCache (optionally persisted to disk) skips the measurement loop
+// entirely. A representative is optimized once and lowered per device.
 
 #include <vector>
 

@@ -27,9 +27,28 @@ double DriftReport::max_abs_rel_err() const {
   return worst;
 }
 
+const char* drift_clock_name(DriftClock clock) {
+  return clock == DriftClock::kHost ? "host" : "modeled";
+}
+
 std::string DriftReport::to_string() const {
   std::ostringstream os;
-  os << "drift " << model << " (" << source << " observation)\n";
+  os << "drift " << model << " (" << source << " observation, "
+     << drift_clock_name(clock) << " clock)\n";
+  if (clock == DriftClock::kHost) {
+    os << strprintf("  %-4s %-16s %-4s %12s %12s\n", "sub", "label", "dev",
+                    "modeled est", "host time");
+    for (const DriftEntry& e : entries) {
+      os << strprintf("  %-4d %-16s %-4s %12s %12s\n", e.subgraph,
+                      e.label.c_str(), device_kind_name(e.device),
+                      human_time(e.est_s).c_str(),
+                      human_time(e.observed_s).c_str());
+    }
+    os << strprintf("  %-26s %12s %12s\n", "end-to-end",
+                    human_time(est_total_s).c_str(),
+                    human_time(observed_total_s).c_str());
+    return os.str();
+  }
   os << strprintf("  %-4s %-16s %-4s %12s %12s %9s\n", "sub", "label", "dev",
                   "estimated", "observed", "skew");
   for (const DriftEntry& e : entries) {
@@ -49,9 +68,11 @@ std::string DriftReport::to_string() const {
 std::string DriftReport::to_json() const {
   using telemetry::json_escape;
   using telemetry::json_number;
+  const bool modeled = clock == DriftClock::kModeled;
   std::ostringstream os;
   os << "{\"model\":\"" << json_escape(model) << "\",\"source\":\""
-     << json_escape(source) << "\",\"subgraphs\":[";
+     << json_escape(source) << "\",\"clock\":\"" << drift_clock_name(clock)
+     << "\",\"subgraphs\":[";
   bool first = true;
   for (const DriftEntry& e : entries) {
     if (!first) os << ",";
@@ -60,15 +81,18 @@ std::string DriftReport::to_json() const {
        << json_escape(e.label) << "\",\"device\":\""
        << device_kind_name(e.device)
        << "\",\"est_s\":" << json_number(e.est_s)
-       << ",\"observed_s\":" << json_number(e.observed_s)
-       << ",\"rel_err\":" << json_number(e.rel_err())
-       << ",\"traces\":" << e.trace_count << "}";
+       << ",\"observed_s\":" << json_number(e.observed_s);
+    if (modeled) os << ",\"rel_err\":" << json_number(e.rel_err());
+    os << ",\"traces\":" << e.trace_count << "}";
   }
   os << "],\"totals\":{\"est_s\":" << json_number(est_total_s)
-     << ",\"observed_s\":" << json_number(observed_total_s)
-     << ",\"rel_err\":" << json_number(total_rel_err())
-     << ",\"mean_abs_rel_err\":" << json_number(mean_abs_rel_err())
-     << ",\"max_abs_rel_err\":" << json_number(max_abs_rel_err()) << "}}";
+     << ",\"observed_s\":" << json_number(observed_total_s);
+  if (modeled) {
+    os << ",\"rel_err\":" << json_number(total_rel_err())
+       << ",\"mean_abs_rel_err\":" << json_number(mean_abs_rel_err())
+       << ",\"max_abs_rel_err\":" << json_number(max_abs_rel_err());
+  }
+  os << "}}";
   return os.str();
 }
 
@@ -76,7 +100,7 @@ DriftReport compute_drift(const std::string& model, const std::string& source,
                           const Partition& partition, const Placement& placement,
                           const std::vector<SubgraphProfile>& profiles,
                           const Timeline& observed, double est_total_s,
-                          double observed_total_s) {
+                          double observed_total_s, DriftClock clock) {
   const size_t n = partition.subgraphs.size();
   DUET_CHECK_EQ(placement.size(), n);
   DUET_CHECK_EQ(profiles.size(), n);
@@ -84,6 +108,7 @@ DriftReport compute_drift(const std::string& model, const std::string& source,
   DriftReport report;
   report.model = model;
   report.source = source;
+  report.clock = clock;
   report.est_total_s = est_total_s;
   report.observed_total_s = observed_total_s;
 

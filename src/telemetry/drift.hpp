@@ -34,9 +34,18 @@ struct DriftEntry {
   double rel_err() const { return est_s > 0.0 ? abs_err_s() / est_s : 0.0; }
 };
 
+// The clock an observation ran on. A modeled observation (the SimExecutor's
+// virtual time) is comparable with the estimate, so the report shows signed
+// skew. A host observation (the ThreadedExecutor's wall clock on this
+// machine) is not: the report shows it beside the estimate, with no skew.
+enum class DriftClock { kModeled, kHost };
+
+const char* drift_clock_name(DriftClock clock);  // "modeled" / "host"
+
 struct DriftReport {
   std::string model;
   std::string source;  // "sim" (virtual time) or "threaded" (wall clock)
+  DriftClock clock = DriftClock::kModeled;
   std::vector<DriftEntry> entries;
   double est_total_s = 0.0;       // scheduler's end-to-end estimate
   double observed_total_s = 0.0;  // executor's end-to-end latency
@@ -48,9 +57,11 @@ struct DriftReport {
   double mean_abs_rel_err() const;
   double max_abs_rel_err() const;
 
-  // Fixed-width per-subgraph skew table.
+  // Fixed-width per-subgraph table: skew on the modeled clock, estimate
+  // and host time side by side on the host clock.
   std::string to_string() const;
-  // {"model":...,"source":...,"subgraphs":[...],"totals":{...}}
+  // {"model":...,"source":...,"clock":...,"subgraphs":[...],"totals":{...}};
+  // the rel_err fields appear on the modeled clock only.
   std::string to_json() const;
 };
 
@@ -61,6 +72,7 @@ DriftReport compute_drift(const std::string& model, const std::string& source,
                           const Partition& partition, const Placement& placement,
                           const std::vector<SubgraphProfile>& profiles,
                           const Timeline& observed, double est_total_s,
-                          double observed_total_s);
+                          double observed_total_s,
+                          DriftClock clock = DriftClock::kModeled);
 
 }  // namespace duet

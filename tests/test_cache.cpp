@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <set>
@@ -253,6 +254,35 @@ TEST_F(CacheTest, EngineDigestsEveryWeightByteOnce) {
 
 // --- CompileCache ----------------------------------------------------------------
 
+// A compile with the cache switched off, restoring the caller's setting.
+CompiledSubgraph compile_uncached(const Graph& g, DeviceKind device,
+                                  const CompileOptions& options,
+                                  const DeviceCostParams& params) {
+  CompileCache& cache = CompileCache::instance();
+  const bool was_enabled = cache.enabled();
+  cache.set_enabled(false);
+  CompiledSubgraph out = compile_for_device(g, device, options, params);
+  cache.set_enabled(was_enabled);
+  return out;
+}
+
+// Same kernels with bit-equal modeled costs.
+void expect_same_costs(const CompiledSubgraph& got, const CompiledSubgraph& want) {
+  EXPECT_EQ(got.device(), want.device());
+  ASSERT_EQ(got.kernels().size(), want.kernels().size());
+  for (size_t i = 0; i < got.kernels().size(); ++i) {
+    const CompiledKernel& k = got.kernels()[i];
+    const CompiledKernel& w = want.kernels()[i];
+    EXPECT_EQ(k.node, w.node) << "kernel " << i;
+    EXPECT_EQ(k.flops, w.flops) << "kernel " << i;
+    EXPECT_EQ(k.bytes_read, w.bytes_read) << "kernel " << i;
+    EXPECT_EQ(k.bytes_written, w.bytes_written) << "kernel " << i;
+    EXPECT_EQ(k.launches, w.launches) << "kernel " << i;
+    EXPECT_EQ(k.est_time_s, w.est_time_s) << "kernel " << i;
+  }
+  EXPECT_EQ(got.est_total_time_s(), want.est_total_time_s());
+}
+
 TEST_F(CacheTest, CompileForDeviceHitsOnRecompile) {
   const Graph g = mlp("cc");
   DevicePair devices = make_default_device_pair(3);
@@ -271,10 +301,30 @@ TEST_F(CacheTest, CompileForDeviceHitsOnRecompile) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(first.graph().num_nodes(), second.graph().num_nodes());
 
-  // The other device is a distinct artifact.
-  compile_for_device(g, DeviceKind::kGpu, options, devices.gpu->params());
+  // The optimized graph is device-independent: the GPU compile hits, and
+  // lowering it gives exactly the costs of an uncached GPU compile.
+  const CompiledSubgraph gpu =
+      compile_for_device(g, DeviceKind::kGpu, options, devices.gpu->params());
   s = CompileCache::instance().stats();
-  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(gpu.device(), DeviceKind::kGpu);
+  expect_same_costs(gpu, compile_uncached(g, DeviceKind::kGpu, options,
+                                          devices.gpu->params()));
+
+  // Perturbed cost params (the hardware-sensitivity sweeps) hit too, and
+  // equal their own uncached compile.
+  DeviceCostParams perturbed = devices.gpu->params();
+  perturbed.peak_gflops *= 0.5;
+  perturbed.conv.eff *= 1.25;
+  const CompiledSubgraph swept =
+      compile_for_device(g, DeviceKind::kGpu, options, perturbed);
+  s = CompileCache::instance().stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 3u);
+  expect_same_costs(swept,
+                    compile_uncached(g, DeviceKind::kGpu, options, perturbed));
+  EXPECT_NE(swept.est_total_time_s(), gpu.est_total_time_s());
 }
 
 TEST_F(CacheTest, RenamedTwinMissesCompileCacheButSharesProfileKey) {
@@ -298,20 +348,31 @@ TEST_F(CacheTest, RenamedTwinMissesCompileCacheButSharesProfileKey) {
                               devices.cpu->params(), devices.cpu->noise_sigma()));
 }
 
-TEST_F(CacheTest, ScheduleQualityHookBypassesCache) {
+// schedule_quality is read only while lowering, so hooked and unhooked
+// compiles share one optimized graph, and each lowers to the costs of its
+// own uncached compile.
+TEST_F(CacheTest, ScheduleQualityHookSharesTheOptimizedGraph) {
   const Graph g = mlp("hook");
   DevicePair devices = make_default_device_pair(3);
-  CompileOptions options = CompileOptions::compiler_defaults();
-  options.schedule_quality = [](const Node&, int) { return 1.0; };
-  EXPECT_EQ(compile_options_key(options), kUncacheableOptionsKey);
+  const CompileOptions plain = CompileOptions::compiler_defaults();
+  CompileOptions hooked = plain;
+  hooked.schedule_quality = [](const Node&, int) { return 1e-3; };
+  EXPECT_EQ(compile_options_key(hooked), compile_options_key(plain));
 
-  compile_for_device(g, DeviceKind::kCpu, options, devices.cpu->params());
-  compile_for_device(g, DeviceKind::kCpu, options, devices.cpu->params());
+  const CompiledSubgraph a =
+      compile_for_device(g, DeviceKind::kCpu, plain, devices.cpu->params());
+  const CompiledSubgraph b =
+      compile_for_device(g, DeviceKind::kCpu, hooked, devices.cpu->params());
   const CompileCache::Stats s = CompileCache::instance().stats();
-  EXPECT_EQ(s.bypasses, 2u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
-  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.entries, 1u);
+
+  expect_same_costs(
+      a, compile_uncached(g, DeviceKind::kCpu, plain, devices.cpu->params()));
+  expect_same_costs(
+      b, compile_uncached(g, DeviceKind::kCpu, hooked, devices.cpu->params()));
+  EXPECT_GT(b.est_total_time_s(), a.est_total_time_s());
 }
 
 // --- ProfileCache disk persistence ----------------------------------------------
@@ -358,6 +419,48 @@ TEST_F(CacheTest, DiskRoundTripAndCalibrationInvalidation) {
   pc.flush();
   pc.clear();
   EXPECT_EQ(pc.open_disk(path, 0xAAu), 0u);
+  pc.close_disk();
+  std::filesystem::remove_all(dir);
+}
+
+// Rows the schedulers must not see — NaN, infinite or negative statistics,
+// min > max — are skipped and counted; the valid row beside them loads.
+TEST_F(CacheTest, DiskLoadSkipsOutOfRangeRows) {
+  telemetry::ScopedTelemetry on(true);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "duet-cache-range";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "profile_cache.v1.txt").string();
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "duet-profile-cache v1 calib dd\n"
+        "a1 500 nan 1e-05 0.001 0.002 0.0015 0.0018 0.0019 0.002\n"
+        "a2 500 0.0015 1e-05 0.001 inf 0.0015 0.0018 0.0019 0.002\n"
+        "a3 500 0.0015 1e-05 0.001 0.002 -0.0015 0.0018 0.0019 0.002\n"
+        "b0 500 0.0015 1e-05 0.001 0.002 0.0015 0.0018 0.0019 0.002\n"
+        "a4 500 0.0015 1e-05 0.003 0.002 0.0015 0.0018 0.0019 0.002\n"
+        "a5 500 0.0015 -inf 0.001 0.002 0.0015 0.0018 0.0019 0.002\n",
+        f);
+    std::fclose(f);
+  }
+  telemetry::Counter& rejected = telemetry::counter("profile.cache.disk_rejected");
+  const uint64_t rejected_before = rejected.value();
+
+  ProfileCache& pc = ProfileCache::instance();
+  EXPECT_EQ(pc.open_disk(path, 0xDDu), 1u);
+  const ProfileCache::Stats s = pc.stats();
+  EXPECT_EQ(s.disk_loaded, 1u);
+  EXPECT_EQ(s.disk_rejected, 5u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(rejected.value() - rejected_before, 5u);
+  SummaryStats out;
+  ASSERT_TRUE(pc.lookup(0xB0u, &out));
+  EXPECT_EQ(out.mean, 0.0015);
+  for (uint64_t bad : {0xA1u, 0xA2u, 0xA3u, 0xA4u, 0xA5u}) {
+    EXPECT_FALSE(pc.lookup(bad, nullptr)) << std::hex << bad;
+  }
   pc.close_disk();
   std::filesystem::remove_all(dir);
 }
@@ -503,6 +606,63 @@ TEST_F(CacheTest, EngineOutputsBitIdenticalCacheOnOff) {
                           with_cache[i].byte_size()),
               0)
         << "output " << i << " differs between cached and uncached runs";
+  }
+}
+
+// The cached pipeline and the uncached one reach bit-identical estimates and
+// placements: the profiler shares a structural class's measurement with or
+// without the caches (siamese and mtdnn have duplicate classes).
+TEST_F(CacheTest, EnginePlacementsBitIdenticalCacheOnOff) {
+  for (const char* name : {"wide-deep", "siamese", "mtdnn"}) {
+    const auto build = [&](bool caches_on) {
+      ProfileCache::instance().clear();
+      ProfileCache::instance().set_enabled(caches_on);
+      CompileCache::instance().clear();
+      CompileCache::instance().set_enabled(caches_on);
+      return DuetEngine(models::build_by_name_batched(name, 1, /*tiny=*/true));
+    };
+    const DuetEngine cached = build(true);
+    const DuetEngine uncached = build(false);
+    EXPECT_EQ(cached.report().schedule.placement,
+              uncached.report().schedule.placement)
+        << name;
+    EXPECT_EQ(cached.report().est_hetero_s, uncached.report().est_hetero_s)
+        << name;
+    EXPECT_EQ(cached.report().fell_back, uncached.report().fell_back) << name;
+  }
+}
+
+// A cold engine build runs the pass pipeline once per distinct graph: each
+// structural class representative (optimized once, lowered for both
+// devices) plus the whole model (both baselines). A warm rebuild runs it
+// not at all.
+TEST_F(CacheTest, ColdBuildRunsThePassPipelineOncePerGraph) {
+  telemetry::ScopedTelemetry on(true);
+  const size_t passes =
+      PassManager::standard(CompileOptions::compiler_defaults()).passes().size();
+  for (const char* name : {"resnet101", "wide-deep"}) {
+    CompileCache::instance().clear();
+    ProfileCache::instance().clear();
+    const Graph model = models::build_by_name_batched(name, 1, /*tiny=*/true);
+    const Partition partition = partition_phased(model);
+    std::set<uint64_t> classes;
+    for (const Subgraph& sub : partition.subgraphs) {
+      classes.insert(fingerprint_graph(sub.graph).structural);
+    }
+    // Every subgraph is its class's representative, so the plan build
+    // (which compiles every subgraph) finds each one already optimized.
+    ASSERT_EQ(classes.size(), partition.subgraphs.size()) << name;
+
+    telemetry::Counter& pass_runs = telemetry::counter("compiler.pass_runs");
+    const uint64_t before = pass_runs.value();
+    const DuetEngine cold(model);
+    EXPECT_EQ(pass_runs.value() - before, passes * (classes.size() + 1)) << name;
+
+    const uint64_t warm_before = pass_runs.value();
+    const DuetEngine warm(model);
+    EXPECT_EQ(pass_runs.value() - warm_before, 0u) << name;
+    EXPECT_EQ(warm.report().schedule.placement, cold.report().schedule.placement)
+        << name;
   }
 }
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <string>
+
 #include "compiler/lowering.hpp"
 #include "compiler/pass.hpp"
 #include "device/calibration.hpp"
@@ -174,6 +178,56 @@ TEST(FoldBatchNorm, SharedConvNotFolded) {
   Graph g = b.finish({out});
   Graph folded = fold_batch_norm(g);
   EXPECT_EQ(count_ops(folded, OpType::kBatchNorm), 1);
+}
+
+// The folded weights and bias are bit-identical to the clone-then-scale
+// formulation, for every conv+BN pair the tiny zoo folds.
+TEST(FoldBatchNorm, BitIdenticalToCloneThenScaleOverTheZoo) {
+  size_t pairs = 0;
+  for (const std::string& name : models::zoo_model_names()) {
+    const Graph g = models::build_by_name_batched(name, 1, /*tiny=*/true);
+    const Graph folded = fold_batch_norm(g);
+    std::map<std::string, const Tensor*> constants;
+    for (const Node& node : folded.nodes()) {
+      if (node.is_constant()) constants[node.name] = &node.value;
+    }
+    for (const Node& bn : g.nodes()) {
+      if (bn.op != OpType::kBatchNorm) continue;
+      const Node& conv = g.node(bn.inputs[0]);
+      const auto w_it = constants.find(conv.name + ".w.bnfold");
+      if (conv.op != OpType::kConv2d || w_it == constants.end()) continue;
+      ++pairs;
+      const Tensor& w = g.node(conv.inputs[1]).value;
+      const float* scale = g.node(bn.inputs[1]).value.data<float>();
+      const float* shift = g.node(bn.inputs[2]).value.data<float>();
+      const int64_t oc = w.shape().dim(0);
+      const int64_t per_filter = w.numel() / oc;
+
+      Tensor want_w = w.clone();
+      float* pw = want_w.data<float>();
+      for (int64_t o = 0; o < oc; ++o) {
+        for (int64_t i = 0; i < per_filter; ++i) pw[o * per_filter + i] *= scale[o];
+      }
+      Tensor want_b(Shape{oc});
+      float* pb = want_b.data<float>();
+      for (int64_t o = 0; o < oc; ++o) {
+        pb[o] = conv.inputs.size() > 2
+                    ? g.node(conv.inputs[2]).value.data<float>()[o] * scale[o] +
+                          shift[o]
+                    : shift[o];
+      }
+
+      const Tensor& got_w = *w_it->second;
+      const Tensor& got_b = *constants.at(conv.name + ".b.bnfold");
+      ASSERT_EQ(got_w.byte_size(), want_w.byte_size()) << name << " " << conv.name;
+      ASSERT_EQ(got_b.byte_size(), want_b.byte_size()) << name << " " << conv.name;
+      EXPECT_EQ(std::memcmp(got_w.raw_data(), want_w.raw_data(), want_w.byte_size()), 0)
+          << name << " " << conv.name;
+      EXPECT_EQ(std::memcmp(got_b.raw_data(), want_b.raw_data(), want_b.byte_size()), 0)
+          << name << " " << conv.name;
+    }
+  }
+  EXPECT_GT(pairs, 0u) << "the tiny zoo folds no conv+BN pair";
 }
 
 // --- CSE / DCE -------------------------------------------------------------------

@@ -268,6 +268,39 @@ TEST_F(TelemetryTest, DriftJoinMatchesSimObservation) {
   EXPECT_TRUE(telemetry::validate_json(report.to_json(), &err)) << err;
 }
 
+// Host wall-clock is not comparable with modeled time: a host-clock report
+// labels its clock and shows the two side by side, with no signed skew.
+TEST(Drift, HostClockReportShowsTimesWithoutSkew) {
+  DriftReport report;
+  report.model = "m";
+  report.source = "threaded";
+  report.clock = DriftClock::kHost;
+  DriftEntry e;
+  e.subgraph = 0;
+  e.label = "rnn";
+  e.est_s = 1e-3;
+  e.observed_s = 0.5;
+  report.entries.push_back(e);
+  report.est_total_s = 1e-3;
+  report.observed_total_s = 0.5;
+
+  const std::string text = report.to_string();
+  EXPECT_NE(text.find("host clock"), std::string::npos) << text;
+  EXPECT_NE(text.find("host time"), std::string::npos) << text;
+  EXPECT_EQ(text.find('%'), std::string::npos) << text;
+
+  const std::string json = report.to_json();
+  std::string err;
+  EXPECT_TRUE(telemetry::validate_json(json, &err)) << err;
+  EXPECT_NE(json.find("\"clock\":\"host\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("rel_err"), std::string::npos) << json;
+
+  report.clock = DriftClock::kModeled;
+  EXPECT_NE(report.to_string().find("modeled clock"), std::string::npos);
+  EXPECT_NE(report.to_json().find("\"clock\":\"modeled\""), std::string::npos);
+  EXPECT_NE(report.to_json().find("rel_err"), std::string::npos);
+}
+
 TEST_F(TelemetryTest, MetricsToJsonIsValid) {
   telemetry::ScopedTelemetry on(true);
   telemetry::counter("test.json_counter").add(2);
