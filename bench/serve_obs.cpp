@@ -8,11 +8,11 @@
 //  1. record() microbench — wall-clock ns per event with recording enabled
 //     vs disabled (the disabled path is the early-out branch, i.e. the
 //     floor a skeptic would compare against).
-//  2. real serving leg — a live DuetServer run twice, recorder on vs off,
-//     reporting windowed wall p99 from the SLO monitor. Informational:
-//     wall numbers depend on the build machine and scheduler noise, so
-//     they are published but not gated. This leg also measures the actual
-//     flight events emitted per completed request.
+//  2. real serving leg — a live FleetServer of one model run twice,
+//     recorder on vs off, reporting windowed wall p99 from the SLO
+//     monitor. Informational: wall numbers depend on the build machine and
+//     scheduler noise, so they are published but not gated. This leg also
+//     measures the actual flight events emitted per completed request.
 //  3. virtual-time gate — the measured per-event cost times the measured
 //     events-per-request is folded into the modeled service times of the
 //     serving simulator, and the same Poisson trace is replayed with and
@@ -36,7 +36,7 @@
 
 #include "bench_util.hpp"
 #include "models/model_zoo.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/simulator.hpp"
 #include "serve/workload.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -80,28 +80,32 @@ ServeLeg run_serving(const std::string& name, bool recorder_on) {
   recorder.set_recording_enabled(recorder_on);
   const uint64_t recorded_before = recorder.recorded();
 
-  serve::ServeOptions sopts;
-  sopts.workers = 2;
-  sopts.queue_capacity = 64;
-  serve::DuetServer server(models::build_by_name(name), sopts);
+  serve::ModelRegistry registry =
+      serve::single_model_registry(models::build_by_name(name), DuetOptions{});
+  serve::FleetOptions fopts;
+  fopts.workers = 2;
+  fopts.queue_capacity = 64;
+  fopts.max_batch = 1;
+  serve::FleetServer server(registry, fopts);
 
   Rng rng(7);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
   // Closed-loop waves: the queue never outgrows one wave, so the measured
   // p99 reflects service latency rather than a deep-queue drain, and no
   // request is rejected at admission.
   ServeLeg leg;
   for (int base = 0; base < kServeRequests; base += kServeWave) {
-    std::vector<std::future<serve::Response>> futures;
+    std::vector<std::future<serve::FleetResponse>> futures;
     futures.reserve(kServeWave);
     for (int i = 0; i < kServeWave; ++i) {
-      futures.push_back(server.submit(feeds));
+      futures.push_back(server.submit(0, 0, feeds));
     }
     for (auto& f : futures) {
       leg.completed += f.get().status == serve::RequestStatus::kOk ? 1 : 0;
     }
   }
-  leg.p99_us = server.slo_snapshot().latency_p99_us;
+  leg.p99_us = server.slo_snapshot(0).latency_p99_us;
   server.drain();
   leg.events = recorder.recorded() - recorded_before;
   recorder.set_recording_enabled(true);
@@ -163,18 +167,25 @@ int main() {
     const double mean_service_s = total_s / kSimRequests;
     const double overhead_s = events_per_request * ns_on * 1e-9;
 
-    serve::ServeSimConfig cfg;
-    cfg.workers = 4;
-    cfg.queue_capacity = 128;
-    cfg.deadline_s = 10.0 * mean_service_s;
-    const double offered_qps = 0.8 * cfg.workers / mean_service_s;
+    const int workers = 4;
+    const serve::FleetSimConfig cfg =
+        serve::single_model_config(workers, 128, 10.0 * mean_service_s);
+    const double offered_qps = 0.8 * workers / mean_service_s;
     Rng rng(1234);
-    const std::vector<double> arrivals =
-        serve::poisson_trace(offered_qps, kSimRequests, rng);
-    const serve::ServeStats base = serve::simulate_serving(
-        arrivals, [&service](size_t i) { return service[i]; }, cfg);
-    const serve::ServeStats inflated = serve::simulate_serving(
-        arrivals, [&](size_t i) { return service[i] + overhead_s; }, cfg);
+    // single_model_trace names request i "model i": index the draws by it.
+    const std::vector<serve::FleetSimRequest> requests =
+        serve::single_model_trace(
+            serve::poisson_trace(offered_qps, kSimRequests, rng));
+    const serve::FleetSimStats base = serve::simulate_fleet(
+        requests,
+        [&service](int i, int64_t) { return service[static_cast<size_t>(i)]; },
+        cfg);
+    const serve::FleetSimStats inflated = serve::simulate_fleet(
+        requests,
+        [&](int i, int64_t) {
+          return service[static_cast<size_t>(i)] + overhead_s;
+        },
+        cfg);
     const double ratio =
         base.sojourn.p99 > 0.0 ? inflated.sojourn.p99 / base.sojourn.p99 : 1.0;
     std::printf(

@@ -6,11 +6,11 @@ namespace duet::mc {
 namespace {
 
 // Shared-variable bits for the independence relation. Enabledness reads are
-// included in `reads` (pop reads CLOSED+QUEUE, retire reads REFS, ...), which
-// sleep-set soundness requires.
+// included in `reads` (pick reads DRAINING+QUEUE, retire reads REFS, ...),
+// which sleep-set soundness requires.
 enum : uint32_t {
   kVarQueue = 1u << 0,  // queue_len + enqueued/dequeued ghosts
-  kVarClosed = 1u << 1,
+  kVarDraining = 1u << 1,
   kVarOffered = 1u << 2,
   kVarAccepted = 1u << 3,
   kVarRejected = 1u << 4,
@@ -22,16 +22,21 @@ enum : uint32_t {
 };
 
 // Producer program counters.
-enum : uint8_t { kProdOffer = 0, kProdOfferWrite = 1, kProdPush = 2 };
-// Consumer program counters.
-enum : uint8_t { kConsPop = 0, kConsDecide = 1, kConsRun = 2 };
+enum : uint8_t { kProdOffer = 0, kProdOfferWrite = 1, kProdSubmit = 2 };
+// Worker program counters.
+enum : uint8_t {
+  kWorkPick = 0,
+  kWorkDecide = 1,
+  kWorkSnapshot = 2,
+  kWorkRun = 3,
+};
 // Swapper program counters.
 enum : uint8_t { kSwapBump = 0, kSwapRetire = 1 };
 
 std::string thread_label(const ProtocolConfig& c, int thread) {
   if (thread < c.producers) return "p" + std::to_string(thread);
   if (thread < c.producers + c.consumers) {
-    return "c" + std::to_string(thread - c.producers);
+    return "w" + std::to_string(thread - c.producers);
   }
   return thread == c.producers + c.consumers ? "swap" : "drain";
 }
@@ -56,8 +61,8 @@ const char* variant_name(Variant v) {
 
 std::string ProtocolState::encode() const {
   std::string out;
-  out.reserve(16 + refs.size() + threads.size() * 3);
-  const uint8_t scalars[] = {queue_len, closed,    offered,  accepted,
+  out.reserve(16 + refs.size() + threads.size() * 4);
+  const uint8_t scalars[] = {queue_len, draining,  offered,  accepted,
                              rejected,  shed,      completed, enqueued,
                              dequeued,  version,   retired};
   out.append(reinterpret_cast<const char*>(scalars), sizeof(scalars));
@@ -66,6 +71,7 @@ std::string ProtocolState::encode() const {
     out.push_back(static_cast<char>(t.pc));
     out.push_back(static_cast<char>(t.a));
     out.push_back(static_cast<char>(t.b));
+    out.push_back(static_cast<char>(t.c));
   }
   return out;
 }
@@ -73,7 +79,7 @@ std::string ProtocolState::encode() const {
 Protocol::Protocol(ProtocolConfig config) : config_(std::move(config)) {}
 
 int Protocol::num_threads() const {
-  return config_.producers + config_.consumers + 2;  // + swapper + closer
+  return config_.producers + config_.consumers + 2;  // + swapper + drainer
 }
 
 ProtocolState Protocol::initial() const {
@@ -118,9 +124,9 @@ std::vector<Transition> Protocol::enabled(const ProtocolState& s) const {
       case kProdOfferWrite:
         add(p, 0, 0, kVarOffered, "offer-store");
         break;
-      case kProdPush:
-        add(p, 0, kVarClosed | kVarQueue,
-            kVarQueue | kVarAccepted | kVarRejected, "push");
+      case kProdSubmit:
+        add(p, 0, kVarDraining | kVarQueue,
+            kVarQueue | kVarAccepted | kVarRejected, "submit");
         break;
       default:
         break;
@@ -131,21 +137,26 @@ std::vector<Transition> Protocol::enabled(const ProtocolState& s) const {
     const int thread = P + c;
     const ProtocolState::Thread& t = s.threads[static_cast<size_t>(thread)];
     switch (t.pc) {
-      case kConsPop: {
-        // Blocking pop: enabled when the wait predicate holds. The seeded
-        // missed-wakeup variant waits on items alone, so closed+empty leaves
-        // the consumer permanently blocked (found as a deadlock).
+      case kWorkPick: {
+        // Condition-variable wait, enabled when its predicate holds. The
+        // seeded missed-wakeup variant waits on requests alone, so
+        // draining+empty leaves the worker permanently blocked (found as a
+        // deadlock).
         const bool woken = config_.variant == Variant::kMissedCloseWakeup
                                ? s.queue_len > 0
-                               : (s.queue_len > 0 || s.closed != 0);
-        if (woken) add(thread, 0, kVarClosed | kVarQueue, kVarQueue, "pop");
+                               : (s.queue_len > 0 || s.draining != 0);
+        if (woken) add(thread, 0, kVarDraining | kVarQueue, kVarQueue, "pick");
         break;
       }
-      case kConsDecide:
+      case kWorkDecide:
+        // Per picked request: deadline already missed, or still runnable.
         add(thread, 0, 0, kVarShed, "shed");
-        add(thread, 1, kVarVersion, kVarRefs, "snapshot");
+        add(thread, 1, 0, 0, "keep");
         break;
-      case kConsRun:
+      case kWorkSnapshot:
+        add(thread, 0, kVarVersion, kVarRefs, "snapshot");
+        break;
+      case kWorkRun:
         add(thread, 0, kVarRetired, kVarCompleted | kVarRefs, "run");
         break;
       default:
@@ -164,10 +175,11 @@ std::vector<Transition> Protocol::enabled(const ProtocolState& s) const {
     }
   }
 
-  const int closer = P + C + 1;
-  if (s.threads[static_cast<size_t>(closer)].pc == 0) {
-    // drain() may race submits; close() is a single mutex-protected store.
-    add(closer, 0, 0, kVarClosed, "close");
+  const int drainer = P + C + 1;
+  if (s.threads[static_cast<size_t>(drainer)].pc == 0) {
+    // drain() may race submits; raising draining_ is one store under the
+    // queue mutex.
+    add(drainer, 0, 0, kVarDraining, "start");
   }
   return out;
 }
@@ -187,24 +199,24 @@ ProtocolState Protocol::apply(const ProtocolState& s, const Transition& t,
           th.pc = kProdOfferWrite;
         } else {
           ++n.offered;  // fetch_add
-          th.pc = kProdPush;
+          th.pc = kProdSubmit;
         }
         break;
       case kProdOfferWrite:
         n.offered = static_cast<uint8_t>(th.b + 1);  // ...store: lost update
-        th.pc = kProdPush;
+        th.pc = kProdSubmit;
         break;
-      case kProdPush:
-        if (n.closed != 0) {
-          ++n.rejected;  // try_push -> kClosed
+      case kProdSubmit:
+        if (n.draining != 0) {
+          ++n.rejected;  // draining: refused
         } else if (n.queue_len >= config_.queue_capacity) {
           if (config_.variant == Variant::kSilentDropOnFull) {
             ++n.accepted;  // counted accepted, never enqueued
           } else {
-            ++n.rejected;  // try_push -> kFull
+            ++n.rejected;  // full: refused
           }
         } else {
-          ++n.queue_len;  // try_push -> kAccepted
+          ++n.queue_len;  // pushed
           ++n.enqueued;
           ++n.accepted;
         }
@@ -216,26 +228,32 @@ ProtocolState Protocol::apply(const ProtocolState& s, const Transition& t,
     }
   } else if (t.thread < P + C) {
     switch (th.pc) {
-      case kConsPop:
+      case kWorkPick:
         if (n.queue_len > 0) {
-          --n.queue_len;
-          ++n.dequeued;
-          th.pc = kConsDecide;
+          // Coalescing pick: every queued request leaves in one step.
+          th.b = n.queue_len;
+          n.dequeued = static_cast<uint8_t>(n.dequeued + n.queue_len);
+          n.queue_len = 0;
+          th.pc = kWorkDecide;
         } else {
-          th.pc = ProtocolState::kDone;  // closed+empty: worker exits
+          th.pc = ProtocolState::kDone;  // draining+empty: worker exits
         }
         break;
-      case kConsDecide:
+      case kWorkDecide:
+        --th.b;
         if (t.branch == 0) {
           ++n.shed;  // deadline already missed: drop without executing
-          th.pc = kConsPop;
         } else {
-          th.a = n.version;  // snapshot under plan_mutex_
-          if (config_.variant != Variant::kUnrefSnapshot) ++n.refs[th.a];
-          th.pc = kConsRun;
+          ++th.c;  // joins the batch
         }
+        if (th.b == 0) th.pc = th.c > 0 ? kWorkSnapshot : kWorkPick;
         break;
-      case kConsRun:
+      case kWorkSnapshot:
+        th.a = n.version;  // plan_for_batch under the plan mutex
+        if (config_.variant != Variant::kUnrefSnapshot) ++n.refs[th.a];
+        th.pc = kWorkRun;
+        break;
+      case kWorkRun:
         if ((n.retired >> th.a) & 1u) {
           if (violations != nullptr) {
             violations->push_back(
@@ -244,9 +262,10 @@ ProtocolState Protocol::apply(const ProtocolState& s, const Transition& t,
                      " after swap + grace retired it"});
           }
         }
-        ++n.completed;
+        n.completed = static_cast<uint8_t>(n.completed + th.c);
+        th.c = 0;
         if (config_.variant != Variant::kUnrefSnapshot) --n.refs[th.a];
-        th.pc = kConsPop;
+        th.pc = kWorkPick;
         break;
       default:
         break;
@@ -262,12 +281,12 @@ ProtocolState Protocol::apply(const ProtocolState& s, const Transition& t,
       th.pc = th.a == 0 ? ProtocolState::kDone : kSwapBump;
     }
   } else {
-    n.closed = 1;
+    n.draining = 1;
     th.pc = ProtocolState::kDone;
   }
 
   // Queue accounting holds in every reachable state, not just at the end:
-  // try_push is tri-state-correct iff accepted counts exactly the enqueues.
+  // submit is correct iff accepted counts exactly the enqueues.
   if (violations != nullptr) {
     if (n.accepted != n.enqueued) {
       violations->push_back(

@@ -1,23 +1,28 @@
 #pragma once
 
-// Small-scope abstraction of the serving runtime's concurrency protocol
-// (ISSUE 6 tentpole, part 2). The real components — BoundedQueue's tri-state
-// try_push / blocking pop (serve/request_queue.hpp), AdmissionCounters
-// (serve/admission.hpp), and DuetServer's worker loop + plan swap
-// (serve/server.cpp) — are modeled as a handful of interleavable atomic
-// steps per thread, small enough for exhaustive exploration:
+// Small-scope abstraction of the concurrency protocol of the serving
+// runtime, FleetServer (serve/fleet.cpp). The real components — submit()'s
+// locked push into the FleetQueue, the workers' coalescing pick,
+// AdmissionCounters (serve/admission.hpp), the bucket-0 plan swap
+// (ResidentModel::swap_base_placement) and drain() — are modeled as a
+// handful of interleavable atomic steps per thread, small enough for
+// exhaustive exploration:
 //
-//   producers  submit(): offered++  ->  try_push -> accepted++/rejected++
-//   consumers  worker_loop(): pop -> shed | (snapshot plan, run, release)
+//   producers  submit(): offered++ -> locked push: reject when full or
+//              draining, else enqueue -> accepted++/rejected++
+//   workers    worker_loop(): pick = condition-variable wait on
+//              (draining || !empty), then take every queued request in one
+//              step -> per request, shed or keep -> (snapshot plan, run the
+//              kept batch, release)
 //   swapper    swap_plan(): version++ ; retire old once its refcount drains
-//   closer     drain(): close() at any point (races with submits)
+//   drainer    drain(): draining = true at any point (races with submits)
 //
 // The explorer (model_check/explorer.hpp) drives this machine through every
 // interleaving (bounded, sleep-set pruned) and checks four invariants:
 //
 //   mc-conservation     offered == completed + shed + rejected at quiescence
 //   mc-queue-accounting accepted == enqueued == dequeued + queue length,
-//                       length never exceeds capacity (try_push tri-state)
+//                       length never exceeds capacity (locked push)
 //   mc-lost-wakeup      no thread blocks forever across drain/shutdown
 //   mc-snapshot-retired no worker runs a plan retired by swap + grace
 //
@@ -35,11 +40,11 @@ enum class Variant : uint8_t {
   // offered++ as separate load and store — the lost-update bug an atomic
   // fetch_add exists to prevent. Breaks conservation.
   kNonAtomicCounter,
-  // try_push reports kAccepted on a full queue without enqueueing — the
-  // caller's request silently vanishes. Breaks queue accounting.
+  // submit counts a request accepted on a full queue without enqueueing it
+  // — the caller's request silently vanishes. Breaks queue accounting.
   kSilentDropOnFull,
-  // pop's wait predicate ignores closed — a consumer that finds the queue
-  // empty after close() sleeps forever. Breaks drain/shutdown.
+  // pick's wait predicate ignores draining — a worker that finds the queue
+  // empty after drain() sleeps forever. Breaks drain/shutdown.
   kMissedCloseWakeup,
   // A worker snapshots the plan without taking a reference — the swapper's
   // grace period sees no holders and retires the plan under the worker.
@@ -58,19 +63,20 @@ struct ProtocolConfig {
 };
 
 // Flat, byte-encodable global state. Thread locals: producers use `a` for
-// remaining requests and `b` for the non-atomic load; consumers use `a` for
-// the held plan version; the swapper uses `a` for remaining swaps and `b`
-// for the version being retired.
+// remaining requests and `b` for the non-atomic load; workers use `a` for
+// the held plan version, `b` for picked requests not yet decided and `c`
+// for the requests kept for the batch; the swapper uses `a` for remaining
+// swaps and `b` for the version being retired.
 struct ProtocolState {
   uint8_t queue_len = 0;
-  uint8_t closed = 0;
+  uint8_t draining = 0;
   uint8_t offered = 0;
   uint8_t accepted = 0;
   uint8_t rejected = 0;
   uint8_t shed = 0;
   uint8_t completed = 0;
-  uint8_t enqueued = 0;   // ghost: successful try_push count
-  uint8_t dequeued = 0;   // ghost: successful pop count
+  uint8_t enqueued = 0;   // ghost: successful push count
+  uint8_t dequeued = 0;   // ghost: requests taken by picks
   uint8_t version = 0;    // current plan version
   uint8_t retired = 0;    // bitmask over versions
   std::vector<uint8_t> refs;  // per-version snapshot holders
@@ -79,6 +85,7 @@ struct ProtocolState {
     uint8_t pc = 0;  // kDone once terminated
     uint8_t a = 0;
     uint8_t b = 0;
+    uint8_t c = 0;
   };
   std::vector<Thread> threads;
 
@@ -88,7 +95,7 @@ struct ProtocolState {
 };
 
 // One interleavable step of one thread. `branch` disambiguates
-// nondeterministic choices (a consumer at the shed decision has two).
+// nondeterministic choices (a worker at a shed decision has two).
 // `reads`/`writes` are shared-variable bitmasks for the independence
 // relation behind sleep-set pruning.
 struct Transition {
@@ -96,7 +103,7 @@ struct Transition {
   int branch = 0;
   uint32_t reads = 0;
   uint32_t writes = 0;
-  std::string label;  // e.g. "p0.push", "c1.run", "swap.retire"
+  std::string label;  // e.g. "p0.submit", "w1.run", "swap.retire"
 };
 
 struct Violation {

@@ -30,13 +30,15 @@ AdmissionCounters::Snapshot AdmissionCounters::snapshot() const {
   return s;
 }
 
-void AdmissionCounters::reset() {
-  offered.store(0, std::memory_order_relaxed);
-  accepted.store(0, std::memory_order_relaxed);
-  rejected.store(0, std::memory_order_relaxed);
-  shed.store(0, std::memory_order_relaxed);
-  completed.store(0, std::memory_order_relaxed);
-  completed_late.store(0, std::memory_order_relaxed);
+AdmissionCounters::Snapshot& AdmissionCounters::Snapshot::operator+=(
+    const Snapshot& other) {
+  offered += other.offered;
+  accepted += other.accepted;
+  rejected += other.rejected;
+  shed += other.shed;
+  completed += other.completed;
+  completed_late += other.completed_late;
+  return *this;
 }
 
 }  // namespace duet::serve

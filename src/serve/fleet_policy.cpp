@@ -122,10 +122,4 @@ double FleetQueue::earliest_arrival() const {
   return earliest;
 }
 
-double FleetQueue::virtual_time(int tenant) const {
-  DUET_CHECK_GE(tenant, 0);
-  DUET_CHECK_LT(static_cast<size_t>(tenant), tenants_.size());
-  return vtime_[tenant];
-}
-
 }  // namespace duet::serve

@@ -1,11 +1,11 @@
 #pragma once
 
-// The multi-tenant pickup policy (ISSUE 10): weighted fair queueing across
-// tenant classes, earliest-deadline-first within each tenant, and same-model
-// request coalescing — one deterministic data structure shared verbatim by
-// the real-threaded FleetServer (serve/fleet.hpp) and the virtual-time
-// fleet simulator (serve/simulator.hpp), the same single-source-of-policy
-// contract admission.hpp set for reject/shed.
+// The serving pickup policy: weighted fair queueing across tenant classes,
+// earliest-deadline-first within each tenant, same-model request
+// coalescing, reject-on-full and shed-on-expired-deadline — one
+// deterministic data structure shared verbatim by the real-threaded
+// FleetServer (serve/fleet.hpp) and the virtual-time fleet simulator
+// (serve/simulator.hpp). With one tenant and max_batch = 1 it is a FIFO.
 //
 // WFQ: each tenant carries a virtual finish time. A pickup chooses the
 // backlogged tenant with the smallest virtual time (ties break on the
@@ -60,8 +60,6 @@ class FleetQueue {
   explicit FleetQueue(std::vector<TenantClass> tenants,
                       size_t queue_capacity);
 
-  const std::vector<TenantClass>& tenants() const { return tenants_; }
-  size_t capacity() const { return capacity_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -80,8 +78,6 @@ class FleetQueue {
   // Earliest arrival among queued requests (simulator event horizon);
   // infinity when empty.
   double earliest_arrival() const;
-
-  double virtual_time(int tenant) const;
 
  private:
   // Ordered EDF position for `request` in tenant queue `q` (deadline, then

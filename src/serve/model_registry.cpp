@@ -71,10 +71,13 @@ ResidentModel::ResidentModel(std::string name, BatchedGraphFactory factory,
         << ") partitions differently from factory(1) for model " << name_;
     placements_.push_back(placement);
   }
+  // The B=1 bucket plan is the base engine's own (verified) plan.
+  plans_.emplace(1, std::make_shared<const ExecutionPlan>(engine_->plan()));
 }
 
-const Placement& ResidentModel::bucket_placement(size_t bucket) const {
-  DUET_CHECK_LT(bucket, placements_.size());
+Placement ResidentModel::bucket_placement(size_t bucket) const {
+  DUET_CHECK_LT(bucket, buckets_.size());
+  std::lock_guard<std::mutex> lock(plans_mutex_);
   return placements_[bucket];
 }
 
@@ -82,43 +85,67 @@ size_t ResidentModel::bucket_of(int64_t batch) const {
   return bucket_for(buckets_, batch);
 }
 
-std::shared_ptr<const ExecutionPlan> ResidentModel::plan_for_batch(
-    int64_t batch) {
-  return plan_for(batch, /*bucketed=*/true);
+uint64_t ResidentModel::plan_version() const {
+  std::lock_guard<std::mutex> lock(plans_mutex_);
+  return plan_version_;
 }
 
-std::shared_ptr<const ExecutionPlan> ResidentModel::baseline_plan_for_batch(
-    int64_t batch) {
-  return plan_for(batch, /*bucketed=*/false);
-}
-
-std::shared_ptr<const ExecutionPlan> ResidentModel::plan_for(int64_t batch,
-                                                             bool bucketed) {
-  DUET_CHECK_GE(batch, 1);
-  DUET_CHECK_LE(batch, options_.max_batch)
-      << "batch beyond the registry's coalescing range";
-  const std::pair<int64_t, bool> key{batch, bucketed};
-  {
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) return it->second;
-  }
-
-  // Build outside the lock (compiles are slow; the caches keep them warm),
-  // publish under it — the recalibration-swap pattern. A losing racer just
-  // adopts the winner's snapshot.
-  const Placement& placement =
-      bucketed ? placements_[bucket_of(batch)] : placements_.front();
+ExecutionPlan ResidentModel::build_plan(int64_t batch,
+                                        const Placement& placement) const {
   Graph graph = factory_(batch);
   Partition partition = partition_phased(graph, options_.engine.partition);
   DUET_CHECK_EQ(partition.subgraphs.size(), placement.size())
       << "batched partition diverged for model " << name_;
+  return ExecutionPlan::build(graph, std::move(partition), placement,
+                              engine_->devices(), options_.engine.compile);
+}
+
+const Placement& ResidentModel::placement_for(int64_t batch,
+                                              bool bucketed) const {
+  return bucketed ? placements_[bucket_of(batch)]
+                  : engine_->report().schedule.placement;
+}
+
+uint64_t ResidentModel::swap_base_placement(const Placement& placement) {
+  // Build outside the lock: in-flight executions keep their snapshot and
+  // new pickups keep the old plan until the publish below.
   auto plan = std::make_shared<const ExecutionPlan>(
-      ExecutionPlan::build(graph, std::move(partition), placement,
-                           engine_->devices(), options_.engine.compile));
+      engine_->build_plan_for(placement));
+  const int64_t bucket0_hi = buckets_.front().hi;
+  std::lock_guard<std::mutex> lock(plans_mutex_);
+  placements_.front() = placement;
+  for (int64_t batch = 1; batch <= bucket0_hi; ++batch) {
+    plans_.erase(batch);
+    service_cache_.erase({batch, true});
+  }
+  plans_[1] = std::move(plan);
+  return ++plan_version_;
+}
+
+std::shared_ptr<const ExecutionPlan> ResidentModel::plan_for_batch(
+    int64_t batch, uint64_t* version) {
+  DUET_CHECK_GE(batch, 1);
+  DUET_CHECK_LE(batch, options_.max_batch)
+      << "batch beyond the registry's coalescing range";
+  Placement placement;
+  uint64_t built_version = 0;
+  {
+    std::lock_guard<std::mutex> lock(plans_mutex_);
+    if (version != nullptr) *version = plan_version_;
+    const auto it = plans_.find(batch);
+    if (it != plans_.end()) return it->second;
+    placement = placement_for(batch, /*bucketed=*/true);
+    built_version = plan_version_;
+  }
+
+  // Build outside the lock (compiles are slow; the caches keep them warm),
+  // publish under it. A losing racer just adopts the winner's snapshot.
+  auto plan =
+      std::make_shared<const ExecutionPlan>(build_plan(batch, placement));
 
   std::lock_guard<std::mutex> lock(plans_mutex_);
-  auto [it, inserted] = plans_.emplace(key, std::move(plan));
+  if (plan_version_ != built_version) return plan;  // built pre-swap
+  auto [it, inserted] = plans_.emplace(batch, std::move(plan));
   (void)inserted;
   return it->second;
 }
@@ -127,26 +154,22 @@ double ResidentModel::probe_service_s(int64_t batch, bool bucketed) {
   DUET_CHECK_GE(batch, 1);
   DUET_CHECK_LE(batch, options_.max_batch);
   const std::pair<int64_t, bool> key{batch, bucketed};
+  Placement placement;
+  uint64_t built_version = 0;
   {
     std::lock_guard<std::mutex> lock(plans_mutex_);
     const auto it = service_cache_.find(key);
     if (it != service_cache_.end()) return it->second;
+    placement = placement_for(batch, bucketed);
+    built_version = plan_version_;
   }
   // Throwaway plan: measured, never published. Racing probes duplicate a
   // little work and agree on the (deterministic) answer.
-  const Placement& placement =
-      bucketed ? placements_[bucket_of(batch)] : placements_.front();
-  Graph graph = factory_(batch);
-  Partition partition = partition_phased(graph, options_.engine.partition);
-  DUET_CHECK_EQ(partition.subgraphs.size(), placement.size())
-      << "batched partition diverged for model " << name_;
-  const ExecutionPlan plan =
-      ExecutionPlan::build(graph, std::move(partition), placement,
-                           engine_->devices(), options_.engine.compile);
+  const ExecutionPlan plan = build_plan(batch, placement);
   SimExecutor executor(engine_->devices());
   const double s = executor.run_latency_only(plan, /*with_noise=*/false);
   std::lock_guard<std::mutex> lock(plans_mutex_);
-  service_cache_.emplace(key, s);
+  if (plan_version_ == built_version) service_cache_.emplace(key, s);
   return s;
 }
 
@@ -215,6 +238,20 @@ const ResidentModel& ModelRegistry::model(int index) const {
   DUET_CHECK_GE(index, 0);
   DUET_CHECK_LT(static_cast<size_t>(index), models_.size());
   return *models_[index];
+}
+
+ModelRegistry single_model_registry(Graph model, const DuetOptions& engine) {
+  ModelRegistryOptions options;
+  options.engine = engine;
+  options.max_batch = 1;
+  ModelRegistry registry(options);
+  const std::string name = model.name();
+  registry.register_model(name, [model = std::move(model)](int64_t batch) {
+    DUET_CHECK_EQ(batch, 1) << "model \"" << model.name()
+                            << "\" is served at batch 1 only";
+    return model;
+  });
+  return registry;
 }
 
 }  // namespace duet::serve

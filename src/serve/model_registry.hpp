@@ -18,11 +18,18 @@
 //      calls for;
 //   3. lazily instantiates the concrete ExecutionPlan for each batch size a
 //      coalesced pickup actually forms, under the bucket's placement, and
-//      publishes it behind a shared_ptr snapshot exactly like the server's
-//      recalibration swap — readers never block on a build.
+//      publishes it behind a shared_ptr snapshot — readers never block on a
+//      build.
+//
+// Online recalibration swaps bucket 0's placement (swap_base_placement):
+// the B=1 plan is rebuilt through the base engine, so it stays verified,
+// and every cached bucket-0 plan and service estimate is dropped to be
+// rebuilt lazily; other buckets keep their plans. A single model is served
+// as a registry of one with max_batch = 1 (single_model_registry), where
+// bucket 0 is the whole range.
 //
 // The registry is the shared, read-mostly substrate under FleetServer;
-// plan_for_batch / service estimates are thread-safe.
+// plan_for_batch / service estimates / swaps are thread-safe.
 
 #include <functional>
 #include <map>
@@ -37,6 +44,7 @@
 namespace duet::serve {
 
 using BatchedGraphFactory = std::function<Graph(int64_t batch)>;
+
 
 struct ModelRegistryOptions {
   DuetOptions engine;
@@ -99,16 +107,21 @@ class ResidentModel {
   const std::string& name() const { return name_; }
   const DuetEngine& engine() const { return *engine_; }
   const std::vector<BatchBucket>& buckets() const { return buckets_; }
-  const Placement& bucket_placement(size_t bucket) const;
+  Placement bucket_placement(size_t bucket) const;
   size_t bucket_of(int64_t batch) const;
-  int64_t max_batch() const { return options_.max_batch; }
 
   // The plan serving a batch-B coalesced execution: factory(B) compiled
   // under the placement of B's bucket. Built on first use, then shared.
-  std::shared_ptr<const ExecutionPlan> plan_for_batch(int64_t batch);
-  // Same batch-B graph under the base (B=1) placement for every B — the
-  // single-plan baseline of the efficacy gate.
-  std::shared_ptr<const ExecutionPlan> baseline_plan_for_batch(int64_t batch);
+  // `version`, when given, receives the plan version the plan belongs to.
+  std::shared_ptr<const ExecutionPlan> plan_for_batch(
+      int64_t batch, uint64_t* version = nullptr);
+
+  // Plan version: 1 at registration, +1 per swap_base_placement.
+  uint64_t plan_version() const;
+  // Replaces bucket 0's placement: builds the B=1 plan through the base
+  // engine (verified in checked mode), publishes it, and drops the other
+  // cached bucket-0 plans and service estimates. Returns the new version.
+  uint64_t swap_base_placement(const Placement& placement);
 
   // Modeled service times the virtual-time fleet simulator replays
   // (deterministic, noise-free). Exact plans are measured only at each
@@ -117,13 +130,17 @@ class ResidentModel {
   // interpolate linearly between its endpoints. The placement flip at a
   // bucket boundary stays an exact discontinuity; both the bucketed and the
   // single-plan baseline curve sample the same grid so their difference is
-  // placement, not interpolation error.
+  // placement, not interpolation error. The baseline is factory(B) under
+  // the offline B=1 placement for every B; swaps never move it.
   double modeled_service_s(int64_t batch);
   double baseline_service_s(int64_t batch);
 
  private:
-  std::shared_ptr<const ExecutionPlan> plan_for(int64_t batch,
-                                                bool bucketed);
+  // factory(batch) partitioned and compiled under `placement`.
+  ExecutionPlan build_plan(int64_t batch, const Placement& placement) const;
+  // Placement a (batch, bucketed) plan or probe is built under. Caller
+  // holds plans_mutex_.
+  const Placement& placement_for(int64_t batch, bool bucketed) const;
   // Exact modeled makespan at `batch`; builds a throwaway plan on a cache
   // miss and memoizes only the scalar.
   double probe_service_s(int64_t batch, bool bucketed);
@@ -134,14 +151,16 @@ class ResidentModel {
   ModelRegistryOptions options_;
   std::unique_ptr<DuetEngine> engine_;  // base, B=1
   std::vector<BatchBucket> buckets_;
-  std::vector<Placement> placements_;  // aligned with buckets_
 
-  // Plan snapshots keyed by (batch, bucketed?), swapped like the server's
-  // recalibration snapshots: build outside the lock, publish under it.
-  std::mutex plans_mutex_;
-  std::map<std::pair<int64_t, bool>, std::shared_ptr<const ExecutionPlan>>
-      plans_;
-  // Deterministic (noise-free) modeled makespans, same key.
+  // Everything below is guarded by plans_mutex_. Plans are built outside
+  // the lock and published under it; a build that a swap overtook is used
+  // once and not published.
+  mutable std::mutex plans_mutex_;
+  std::vector<Placement> placements_;  // aligned with buckets_
+  uint64_t plan_version_ = 1;
+  // Bucket plan snapshots by batch.
+  std::map<int64_t, std::shared_ptr<const ExecutionPlan>> plans_;
+  // Deterministic (noise-free) modeled makespans by (batch, bucketed?).
   std::map<std::pair<int64_t, bool>, double> service_cache_;
 };
 
@@ -167,5 +186,9 @@ class ModelRegistry {
   std::vector<std::unique_ptr<ResidentModel>> models_;
   RegistryCacheStats cache_stats_;
 };
+
+// A registry of one: `model`, under its own name, resident at batch 1 only
+// (max_batch = 1) — how a single model is served.
+ModelRegistry single_model_registry(Graph model, const DuetOptions& engine);
 
 }  // namespace duet::serve

@@ -1,95 +1,12 @@
 #include "serve/simulator.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <queue>
 
 #include "common/error.hpp"
 
 namespace duet::serve {
-
-ServeStats simulate_serving(const std::vector<double>& arrivals,
-                            const std::function<double(size_t)>& service_s,
-                            const ServeSimConfig& config) {
-  DUET_CHECK_GT(config.workers, 0);
-  for (size_t i = 1; i < arrivals.size(); ++i) {
-    DUET_CHECK_GE(arrivals[i], arrivals[i - 1]) << "arrivals must be ascending";
-  }
-
-  AdmissionController admission(config.queue_capacity);
-  LatencyRecorder sojourn;
-  LatencyRecorder queue_wait;
-
-  // Earliest-free worker pool.
-  std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
-  for (int w = 0; w < config.workers; ++w) free_at.push(0.0);
-
-  std::deque<size_t> pending;  // accepted, not yet started (FIFO)
-  double last_completion = 0.0;
-  double busy_s = 0.0;
-  size_t max_depth = 0;
-
-  // Starts queued requests while the earliest-free worker frees no later
-  // than `horizon` (departures at a timestamp process before the arrival
-  // sharing it). A shed takes no worker time, so the loop keeps going.
-  const auto advance = [&](double horizon) {
-    while (!pending.empty()) {
-      const double free_t = free_at.top();
-      const size_t i = pending.front();
-      const double start_t = std::max(free_t, arrivals[i]);
-      if (start_t > horizon) break;
-      pending.pop_front();
-      if (admission.should_shed(start_t, arrivals[i], config.deadline_s)) {
-        admission.counters().shed.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      free_at.pop();
-      const double completion = start_t + service_s(i);
-      free_at.push(completion);
-      busy_s += completion - start_t;
-      last_completion = std::max(last_completion, completion);
-      queue_wait.add(start_t - arrivals[i]);
-      sojourn.add(completion - arrivals[i]);
-      admission.counters().completed.fetch_add(1, std::memory_order_relaxed);
-      if (config.deadline_s > 0.0 &&
-          completion > arrivals[i] + config.deadline_s) {
-        admission.counters().completed_late.fetch_add(1,
-                                                      std::memory_order_relaxed);
-      }
-    }
-  };
-
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    advance(arrivals[i]);
-    admission.counters().offered.fetch_add(1, std::memory_order_relaxed);
-    if (admission.on_arrival(pending.size()) == Verdict::kReject) {
-      admission.counters().rejected.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    admission.counters().accepted.fetch_add(1, std::memory_order_relaxed);
-    pending.push_back(i);
-    max_depth = std::max(max_depth, pending.size());
-  }
-  advance(std::numeric_limits<double>::infinity());
-
-  ServeStats stats;
-  stats.admission = admission.counters().snapshot();
-  const double t0 = arrivals.empty() ? 0.0 : arrivals.front();
-  stats.makespan_s = std::max(last_completion - t0, 0.0);
-  stats.throughput_qps =
-      stats.makespan_s > 0.0
-          ? static_cast<double>(stats.admission.completed) / stats.makespan_s
-          : 0.0;
-  stats.sojourn = sojourn.summarize();
-  stats.queue_wait = queue_wait.summarize();
-  stats.worker_busy_frac =
-      stats.makespan_s > 0.0
-          ? busy_s / (static_cast<double>(config.workers) * stats.makespan_s)
-          : 0.0;
-  stats.max_queue_depth = max_depth;
-  return stats;
-}
 
 FleetSimStats simulate_fleet(
     const std::vector<FleetSimRequest>& requests,
@@ -185,20 +102,13 @@ FleetSimStats simulate_fleet(
   }
 
   FleetSimStats stats;
-  AdmissionCounters total;
   for (size_t t = 0; t < tenants.size(); ++t) {
     FleetTenantStats ts;
     ts.name = tenants[t].name;
     ts.admission = counters[t].snapshot();
-    total.offered += ts.admission.offered;
-    total.accepted += ts.admission.accepted;
-    total.rejected += ts.admission.rejected;
-    total.shed += ts.admission.shed;
-    total.completed += ts.admission.completed;
-    total.completed_late += ts.admission.completed_late;
+    stats.total += ts.admission;
     stats.tenants.push_back(std::move(ts));
   }
-  stats.total = total.snapshot();
   const double t0 = requests.empty() ? 0.0 : requests.front().arrival_s;
   stats.makespan_s = std::max(last_completion - t0, 0.0);
   stats.throughput_qps =
@@ -218,6 +128,27 @@ FleetSimStats simulate_fleet(
       batches > 0 ? static_cast<double>(served) / static_cast<double>(batches)
                   : 0.0;
   return stats;
+}
+
+FleetSimConfig single_model_config(int workers, size_t queue_capacity,
+                                   double deadline_s) {
+  FleetSimConfig config;
+  config.workers = workers;
+  config.queue_capacity = queue_capacity;
+  config.tenants = {TenantClass{}};
+  config.tenants.front().deadline_s = deadline_s;
+  config.max_batch = 1;
+  return config;
+}
+
+std::vector<FleetSimRequest> single_model_trace(
+    const std::vector<double>& arrivals) {
+  std::vector<FleetSimRequest> requests(arrivals.size());
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    requests[i].arrival_s = arrivals[i];
+    requests[i].model = static_cast<int>(i);
+  }
+  return requests;
 }
 
 }  // namespace duet::serve

@@ -1,15 +1,26 @@
 #pragma once
 
-// Virtual-time serving simulator: a deterministic FIFO multi-worker queue
-// over the sim device pair. Each worker is an independent engine replica
-// (its own CPU-GPU pair), service time is the plan's modeled makespan, and
-// arrivals come from an open-loop trace (workload.hpp) — so throughput,
-// tail sojourn, shed rate, and reject rate under any offered load are exact,
-// reproducible numbers, the same way every benchmark in this repo reports
-// modeled time rather than wall clock of the build machine. The admission
-// and shedding decisions are the ones in admission.hpp, shared with the
-// real-threaded DuetServer (server.hpp), which is what the serving tests
-// validate against.
+// Virtual-time serving simulator — the deterministic twin of FleetServer
+// (serve/fleet.hpp). Each worker is an independent engine replica (its own
+// CPU-GPU pair), service time is the plan's modeled makespan per (model,
+// batch), and arrivals come from an open-loop trace (workload.hpp) — so
+// throughput, tail sojourn, shed rate, and reject rate under any offered
+// load are exact, reproducible numbers, the same way every benchmark in
+// this repo reports modeled time rather than wall clock of the build
+// machine.
+//
+// The pickup policy is the FleetServer's, shared verbatim
+// (serve/fleet_policy.hpp): weighted fair queueing across tenants, EDF
+// within, same-model coalescing up to max_batch, reject-on-full at arrival
+// and shed-on-expired-deadline at pickup. Service time per (model, batch)
+// is what makes the plan-per-bucket efficacy CI gate machine-independent:
+// feed it ResidentModel::modeled_service_s for the bucketed run and
+// baseline_service_s for the single-plan baseline and compare.
+//
+// A single model is a fleet of one (single_model_config): one tenant whose
+// deadline_s is the request deadline, and max_batch = 1. EDF under one
+// relative deadline is FIFO, so that configuration is the plain
+// multi-worker FIFO queue.
 
 #include <functional>
 #include <string>
@@ -20,41 +31,6 @@
 #include "serve/fleet_policy.hpp"
 
 namespace duet::serve {
-
-struct ServeSimConfig {
-  int workers = 1;
-  size_t queue_capacity = 128;
-  // Per-request deadline measured from arrival; <= 0 disables shedding.
-  double deadline_s = 0.0;
-};
-
-struct ServeStats {
-  AdmissionCounters::Snapshot admission;
-  double makespan_s = 0.0;        // first arrival to last completion
-  double throughput_qps = 0.0;    // completed / makespan
-  SummaryStats sojourn;           // arrival -> completion, completed only
-  SummaryStats queue_wait;        // arrival -> start of service
-  double worker_busy_frac = 0.0;  // busy time / (workers * makespan)
-  size_t max_queue_depth = 0;
-};
-
-// Replays `arrivals` (ascending seconds) against `workers` modeled engine
-// replicas. `service_s(i)` returns the service time of request i — a
-// constant for deterministic runs, or a per-request noisy draw (callers
-// seed it; the simulator itself is RNG-free).
-ServeStats simulate_serving(const std::vector<double>& arrivals,
-                            const std::function<double(size_t)>& service_s,
-                            const ServeSimConfig& config);
-
-// --- Multi-tenant batched twin (ISSUE 10) ----------------------------------
-//
-// simulate_fleet extends the model above with the FleetServer's pickup
-// policy — weighted fair queueing across tenants, EDF within, same-model
-// coalescing up to max_batch (serve/fleet_policy.hpp, shared verbatim with
-// the real threads). Service time is per (model, batch), which is exactly
-// what makes the plan-per-bucket efficacy CI gate machine-independent: feed
-// it ResidentModel::modeled_service_s for the bucketed run and
-// baseline_service_s for the single-plan baseline and compare.
 
 struct FleetSimRequest {
   double arrival_s = 0.0;  // ascending across the trace
@@ -96,5 +72,14 @@ FleetSimStats simulate_fleet(
     const std::vector<FleetSimRequest>& requests,
     const std::function<double(int model, int64_t batch)>& service_s,
     const FleetSimConfig& config);
+
+// One tenant, max_batch = 1, and `deadline_s` (<= 0: none) on every request.
+FleetSimConfig single_model_config(int workers, size_t queue_capacity,
+                                   double deadline_s);
+// A single-model arrival trace (ascending seconds) as fleet requests of
+// tenant 0. Request i names model i, so a service function can index
+// per-request draws by it; at max_batch = 1 the ids never coalesce.
+std::vector<FleetSimRequest> single_model_trace(
+    const std::vector<double>& arrivals);
 
 }  // namespace duet::serve

@@ -1,9 +1,10 @@
 #pragma once
 
 // Causal request tracing — the thread-local half of the PR-8 observability
-// layer. A trace id is minted at admission (DuetServer::submit), carried
+// layer. A trace id is minted at admission (FleetServer::submit), carried
 // inside the queued request, and re-established on the worker thread with a
-// `TraceScope` before the executor runs. Anything recorded inside the scope
+// `TraceScope` before the executor runs (a coalesced batch runs under its
+// first request's id). Anything recorded inside the scope
 // (flight-recorder launches/transfers, timeline events) tags itself with
 // `current_trace_id()`, so one request's cross-thread path can be stitched
 // back together as Chrome flow events in a post-mortem dump.

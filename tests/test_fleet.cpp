@@ -1,18 +1,28 @@
-// Tests for the multi-tenant fleet runtime (ISSUE 10): batch-bucket tables,
-// request coalescing numerics (batched execution bit-identical to singles,
-// across the zoo), the WFQ + EDF + coalescing pickup policy, the
-// ModelRegistry's cross-model cache sharing (PR-4 dedup), the virtual-time
-// fleet simulator's accounting, and the real-threaded FleetServer
-// (conservation per tenant, deterministic rejects, coalesced responses).
+// Tests for the serving runtime: batch-bucket tables, request coalescing
+// numerics (batched execution bit-identical to singles, across the zoo), the
+// WFQ + EDF + coalescing pickup policy, the ModelRegistry's cross-model
+// cache sharing (content-addressed dedup), the virtual-time fleet
+// simulator's accounting, and the real-threaded FleetServer: conservation
+// per tenant, deterministic rejects, coalesced responses, per-tenant SLO
+// windows, bucket-0 swaps, and — serving one model as a fleet of one —
+// worker-count determinism, shedding, drain, swap stress, recalibration and
+// triggered flight dumps.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
+#include <sstream>
+#include <thread>
 #include <vector>
 
 #include "compiler/compile_cache.hpp"
+#include "duet/engine.hpp"
 #include "models/model_zoo.hpp"
 #include "profile/profile_cache.hpp"
 #include "runtime/executor.hpp"
@@ -23,6 +33,7 @@
 #include "serve/fleet_policy.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/simulator.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace duet {
@@ -645,6 +656,530 @@ TEST_F(FleetServerTest, ExpiredDeadlinesAreShedNotExecuted) {
   EXPECT_TRUE(r.outputs.empty());
   server.drain();
   EXPECT_EQ(server.stats().total.shed, 1u);
+}
+
+TEST_F(FleetServerTest, PerTenantSloBreachAccounting) {
+  ModelRegistry registry(tiny_options());
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
+  serve::FleetOptions options;
+  options.workers = 2;
+  options.tenants = serve::default_tenant_classes(3);
+  // A window far longer than the test, so slow (sanitizer) runs cannot age
+  // the submits out of it before the snapshot.
+  options.observability.slo_window_s = 3600.0;
+  serve::FleetServer server(registry, options);
+  Rng rng(24);
+  const auto feeds =
+      models::make_random_feeds(registry.model(idx).engine().model(), rng);
+
+  // Gold and bronze send healthy traffic; every silver request arrives with
+  // a deadline that has already expired, so each one sheds and breaches.
+  std::vector<std::future<serve::FleetResponse>> healthy;
+  std::vector<std::future<serve::FleetResponse>> doomed;
+  for (int i = 0; i < 4; ++i) healthy.push_back(server.submit(idx, 0, feeds));
+  for (int i = 0; i < 3; ++i) {
+    doomed.push_back(server.submit(idx, 1, feeds, /*deadline_s=*/1e-9));
+  }
+  for (int i = 0; i < 2; ++i) healthy.push_back(server.submit(idx, 2, feeds));
+  server.drain();
+  for (auto& f : healthy) EXPECT_EQ(f.get().status, serve::RequestStatus::kOk);
+  for (auto& f : doomed) EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
+
+  const telemetry::SloSnapshot gold = server.slo_snapshot(0);
+  const telemetry::SloSnapshot silver = server.slo_snapshot(1);
+  const telemetry::SloSnapshot bronze = server.slo_snapshot(2);
+  EXPECT_EQ(gold.offered, 4u);
+  EXPECT_EQ(gold.completed, 4u);
+  EXPECT_EQ(gold.breaches, 0u);
+  EXPECT_EQ(silver.offered, 3u);
+  EXPECT_EQ(silver.completed, 0u);
+  EXPECT_EQ(silver.shed, 3u);
+  EXPECT_EQ(silver.breaches, 3u) << "a shed is a breach of its own tenant";
+  EXPECT_EQ(bronze.offered, 2u);
+  EXPECT_EQ(bronze.completed, 2u);
+  EXPECT_EQ(bronze.breaches, 0u);
+  EXPECT_EQ(server.stats().slo_breaches, 3u);
+}
+
+TEST_F(FleetServerTest, BaseSwapLeavesOtherBucketPlansUntouched) {
+  // Full-size wide-deep flips placement inside [1, 4]: buckets [1,3][4,4].
+  ModelRegistry registry(tiny_options(4));
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep"));
+  serve::ResidentModel& m = registry.model(idx);
+  ASSERT_EQ(m.buckets().size(), 2u) << buckets_to_string(m.buckets());
+  const auto b1 = m.plan_for_batch(1);
+  const auto b3 = m.plan_for_batch(3);
+  const auto b4 = m.plan_for_batch(4);
+  const Placement upper = m.bucket_placement(1);
+
+  serve::FleetOptions options;
+  options.workers = 1;
+  serve::FleetServer server(registry, options);
+  Placement flipped = m.bucket_placement(0);
+  flipped.flip(0);
+  server.apply_placement(idx, flipped);
+
+  EXPECT_EQ(m.plan_version(), 2u);
+  EXPECT_EQ(server.stats().swap_count, 1u);
+  EXPECT_EQ(m.bucket_placement(0), flipped);
+  EXPECT_EQ(m.bucket_placement(1), upper);
+  EXPECT_EQ(m.plan_for_batch(4).get(), b4.get())
+      << "a bucket-0 swap must leave bucket 1's plan in place";
+  EXPECT_NE(m.plan_for_batch(1).get(), b1.get());
+  EXPECT_EQ(m.plan_for_batch(1)->placement(), flipped);
+  EXPECT_NE(m.plan_for_batch(3).get(), b3.get());
+  EXPECT_EQ(m.plan_for_batch(3)->placement(), flipped)
+      << "every bucket-0 batch size rebuilds under the new placement";
+}
+
+TEST_F(FleetServerTest, CoalescedRunsAddNoDriftSamples) {
+  ModelRegistry registry(tiny_options());
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
+  serve::FleetOptions options;
+  options.workers = 1;
+  options.max_batch = 4;
+  options.start_paused = true;  // all three queue before the single pickup
+  serve::FleetServer server(registry, options);
+  Rng rng(26);
+  const auto feeds =
+      models::make_random_feeds(registry.model(idx).engine().model(), rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(server.submit(idx, 0, feeds));
+  server.resume();
+  for (auto& f : futures) ASSERT_EQ(f.get().batch, 3);
+  EXPECT_EQ(server.stats().drift_samples, 0u)
+      << "a B=3 execution must not feed bucket 0's B=1 recalibration";
+
+  const serve::FleetResponse single = server.submit(idx, 0, feeds).get();
+  ASSERT_EQ(single.batch, 1);
+  EXPECT_GT(server.stats().drift_samples, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One model served as a fleet of one (one resident model at max_batch 1,
+// one tenant): worker-count determinism, shedding, rejects, drain, plan
+// swaps, recalibration, SLO windows and triggered flight dumps.
+
+Graph tiny_model() {
+  return models::build_wide_deep(models::WideDeepConfig::tiny());
+}
+
+serve::ModelRegistry tiny_fleet_of_one() {
+  DuetOptions o;
+  o.enable_fallback = false;  // keep the heterogeneous plan
+  return serve::single_model_registry(tiny_model(), o);
+}
+
+serve::FleetOptions one_model_options() {
+  serve::FleetOptions o;
+  o.max_batch = 1;
+  return o;
+}
+
+// A flipped copy of the served placement, for forced swaps.
+Placement flipped_placement(serve::ModelRegistry& registry) {
+  Placement flipped = registry.model(0).bucket_placement(0);
+  flipped.flip(0);
+  return flipped;
+}
+
+// Stress knobs for the threaded-server tests. The defaults keep CI fast;
+// the TSan job turns them up (more workers, more in-flight requests) so the
+// race detector sees far more interleavings without a code change:
+//   DUET_SERVE_STRESS_WORKERS  worker-thread count        (default: base)
+//   DUET_SERVE_STRESS_ITERS    request-count multiplier   (default: 1)
+int stress_workers(int base) {
+  if (const char* env = std::getenv("DUET_SERVE_STRESS_WORKERS")) {
+    const int v = std::atoi(env);
+    if (v > 0) return v;
+  }
+  return base;
+}
+
+int stress_iters(int base) {
+  if (const char* env = std::getenv("DUET_SERVE_STRESS_ITERS")) {
+    const int mult = std::atoi(env);
+    if (mult > 0) return base * mult;
+  }
+  return base;
+}
+
+TEST(ServeServer, OutputsBitIdenticalForOneAndManyWorkers) {
+  DuetOptions eopts;
+  eopts.enable_fallback = false;
+  DuetEngine reference(tiny_model(), eopts);
+  Rng rng(4);
+  const auto feeds = models::make_random_feeds(reference.model(), rng);
+  const ExecutionResult expect = reference.infer(feeds);
+
+  for (int workers : {1, stress_workers(4)}) {
+    serve::ModelRegistry registry = tiny_fleet_of_one();
+    serve::FleetOptions opts = one_model_options();
+    opts.workers = workers;
+    serve::FleetServer server(registry, opts);
+    std::vector<std::future<serve::FleetResponse>> futures;
+    const int requests = stress_iters(6);
+    for (int i = 0; i < requests; ++i) {
+      futures.push_back(server.submit(0, 0, feeds));
+    }
+    for (auto& f : futures) {
+      const serve::FleetResponse r = f.get();
+      ASSERT_EQ(r.status, serve::RequestStatus::kOk);
+      ASSERT_EQ(r.outputs.size(), expect.outputs.size());
+      for (size_t i = 0; i < r.outputs.size(); ++i) {
+        ASSERT_EQ(r.outputs[i].byte_size(), expect.outputs[i].byte_size());
+        EXPECT_EQ(std::memcmp(r.outputs[i].raw_data(),
+                              expect.outputs[i].raw_data(),
+                              r.outputs[i].byte_size()),
+                  0)
+            << workers << " workers must serve bit-identical outputs";
+      }
+      EXPECT_DOUBLE_EQ(r.modeled_latency_s, expect.latency_s)
+          << "modeled service time is a property of the plan, not the worker";
+    }
+    server.shutdown();
+  }
+}
+
+TEST(ServeServer, ExpiredDeadlinesAreShedNotExecuted) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = 2;
+  opts.start_paused = true;
+  opts.tenants = {TenantClass{}};
+  opts.tenants.front().deadline_s = 1e-4;
+  serve::FleetServer server(registry, opts);
+  Rng rng(6);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(0, 0, feeds));
+  // Workers are paused; every deadline expires before service can start.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.resume();
+  server.drain();
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
+  }
+  const serve::FleetServerStats s = server.stats();
+  EXPECT_EQ(s.total.offered, 4u);
+  EXPECT_EQ(s.total.accepted, 4u);
+  EXPECT_EQ(s.total.shed, 4u);
+  EXPECT_EQ(s.total.completed, 0u);
+}
+
+TEST(ServeServer, FullQueueRejectsImmediately) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = 1;
+  opts.queue_capacity = 3;
+  opts.start_paused = true;
+  serve::FleetServer server(registry, opts);
+  Rng rng(8);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 5; ++i) futures.push_back(server.submit(0, 0, feeds));
+  // Paused workers: arrivals 4 and 5 found the 3-deep queue full and must
+  // already be resolved as rejected.
+  for (int i = 3; i < 5; ++i) {
+    ASSERT_EQ(futures[static_cast<size_t>(i)].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(futures[static_cast<size_t>(i)].get().status,
+              serve::RequestStatus::kRejected);
+  }
+  server.resume();
+  server.drain();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(futures[static_cast<size_t>(i)].get().status,
+              serve::RequestStatus::kOk);
+  }
+  const serve::FleetServerStats s = server.stats();
+  EXPECT_EQ(s.total.offered, 5u);
+  EXPECT_EQ(s.total.accepted, 3u);
+  EXPECT_EQ(s.total.rejected, 2u);
+  EXPECT_EQ(s.total.completed, 3u);
+}
+
+TEST(ServeServer, DrainResolvesEveryInFlightRequest) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = stress_workers(2);
+  const int requests = stress_iters(8);
+  // Scale capacity with the request count so the stress run never trades
+  // drain coverage for reject coverage.
+  opts.queue_capacity = static_cast<size_t>(requests);
+  serve::FleetServer server(registry, opts);
+  Rng rng(10);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < requests; ++i) {
+    futures.push_back(server.submit(0, 0, feeds));
+  }
+  server.drain();
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "drain must not return while a request is unresolved";
+    EXPECT_EQ(f.get().status, serve::RequestStatus::kOk);
+  }
+  EXPECT_EQ(server.stats().total.completed, static_cast<uint64_t>(requests));
+  // A drained server is closed for business.
+  EXPECT_EQ(server.submit(0, 0, feeds).get().status,
+            serve::RequestStatus::kRejected);
+}
+
+// The threaded twin of the model checker's abstract protocol
+// (analysis/model_check): producers submitting, workers picking, a swapper
+// flipping placements mid-stream, then drain. Under TSan with the stress env
+// knobs turned up this is the main interleaving amplifier.
+TEST(ServeServer, ConcurrentSubmitSwapDrainStress) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = stress_workers(2);
+  const int per_producer = stress_iters(4);
+  constexpr int kProducers = 2;
+  opts.queue_capacity = static_cast<size_t>(kProducers * per_producer);
+  serve::FleetServer server(registry, opts);
+  Rng rng(16);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+
+  std::vector<std::future<serve::FleetResponse>> futures[kProducers];
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < per_producer; ++i) {
+        futures[p].push_back(server.submit(0, 0, feeds));
+      }
+    });
+  }
+  std::thread swapper(
+      [&] { server.apply_placement(0, flipped_placement(registry)); });
+  for (auto& t : producers) t.join();
+  swapper.join();
+  server.drain();
+
+  uint64_t ok = 0;
+  for (auto& fs : futures) {
+    for (auto& f : fs) {
+      const serve::FleetResponse r = f.get();
+      // Admission is closed-loop here (capacity == total submissions), so
+      // every request resolves kOk regardless of swap timing.
+      ASSERT_EQ(r.status, serve::RequestStatus::kOk);
+      ++ok;
+    }
+  }
+  const serve::FleetServerStats stats = server.stats();
+  EXPECT_EQ(stats.swap_count, 1u);
+  EXPECT_EQ(stats.total.completed, ok);
+  // Conservation — the invariant the model checker proves exhaustively on
+  // the abstraction must hold on the real implementation too.
+  EXPECT_EQ(stats.total.offered,
+            stats.total.completed + stats.total.shed + stats.total.rejected);
+}
+
+TEST(ServeServer, PlacementSwapPreservesNumericsExactly) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = 1;
+  serve::FleetServer server(registry, opts);
+  Rng rng(12);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+  const serve::FleetResponse before = server.submit(0, 0, feeds).get();
+  ASSERT_EQ(before.status, serve::RequestStatus::kOk);
+
+  const Placement flipped = flipped_placement(registry);
+  server.apply_placement(0, flipped);
+  EXPECT_EQ(server.stats().swap_count, 1u);
+  EXPECT_EQ(registry.model(0).bucket_placement(0), flipped);
+
+  const serve::FleetResponse after = server.submit(0, 0, feeds).get();
+  ASSERT_EQ(after.status, serve::RequestStatus::kOk);
+  EXPECT_GT(after.plan_version, before.plan_version);
+  ASSERT_EQ(after.outputs.size(), before.outputs.size());
+  for (size_t i = 0; i < after.outputs.size(); ++i) {
+    ASSERT_EQ(after.outputs[i].byte_size(), before.outputs[i].byte_size());
+    EXPECT_EQ(std::memcmp(after.outputs[i].raw_data(),
+                          before.outputs[i].raw_data(),
+                          after.outputs[i].byte_size()),
+              0)
+        << "a placement swap must never change what the model computes";
+  }
+}
+
+TEST(ServeServer, RecalibrateNowUsesObservedDrift) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = 2;
+  opts.recalibration.min_samples = 1;
+  serve::FleetServer server(registry, opts);
+  Rng rng(14);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(0, 0, feeds));
+  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+  server.drain();
+
+  const serve::FleetServerStats stats = server.stats();
+  EXPECT_GT(stats.drift_samples, 0u);
+  const serve::RecalibrationResult r = server.recalibrate_now(0);
+  EXPECT_GT(r.overridden_cells, 0u);
+  EXPECT_GT(r.predicted_current_s, 0.0);
+  // Noise-free serving observes exactly the profiled costs, so recalibration
+  // must see no win worth a swap.
+  EXPECT_FALSE(r.swapped);
+  EXPECT_EQ(server.stats().swap_count, 0u);
+  EXPECT_EQ(server.stats().recalibrations, 1u);
+}
+
+TEST(ServeRecal, EmptyWindowRecalibrationIsSafeNoOp) {
+  // A server that has served nothing has empty SLO windows and zero drift
+  // samples; recalibrate_now must skip the scheduler rerun entirely instead
+  // of re-deriving (and possibly swapping to) the offline decision.
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = 1;
+  serve::FleetServer server(registry, opts);
+  const Placement before = registry.model(0).bucket_placement(0);
+  for (int i = 0; i < 2; ++i) {
+    const serve::RecalibrationResult r = server.recalibrate_now(0);
+    EXPECT_FALSE(r.swapped);
+    EXPECT_EQ(r.overridden_cells, 0u);
+    EXPECT_EQ(r.placement, before);
+  }
+  EXPECT_EQ(server.stats().swap_count, 0u);
+  EXPECT_EQ(registry.model(0).bucket_placement(0), before);
+}
+
+// Drift recording (workers, under the model's drift mutex) racing
+// recalibration's snapshot-and-swap. The TSan job turns the stress knobs
+// up; the assertion here is conservation plus "no crash, no torn
+// accumulator".
+TEST(ServeServer, ConcurrentRecordDuringSwapStress) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = stress_workers(2);
+  opts.recalibration.min_samples = 1;
+  const int requests = stress_iters(8);
+  opts.queue_capacity = static_cast<size_t>(requests);
+  serve::FleetServer server(registry, opts);
+  Rng rng(18);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+
+  std::vector<std::future<serve::FleetResponse>> futures;
+  std::thread producer([&] {
+    for (int i = 0; i < requests; ++i) {
+      futures.push_back(server.submit(0, 0, feeds));
+    }
+  });
+  std::thread recalibrator([&] {
+    for (int i = 0; i < 4; ++i) server.recalibrate_now(0);
+  });
+  std::thread swapper(
+      [&] { server.apply_placement(0, flipped_placement(registry)); });
+  producer.join();
+  recalibrator.join();
+  swapper.join();
+  server.drain();
+
+  uint64_t ok = 0;
+  for (auto& f : futures) {
+    ok += f.get().status == serve::RequestStatus::kOk ? 1 : 0;
+  }
+  const serve::FleetServerStats stats = server.stats();
+  EXPECT_EQ(stats.total.completed, ok);
+  EXPECT_GE(stats.swap_count, 1u);
+  EXPECT_EQ(stats.total.offered,
+            stats.total.completed + stats.total.shed + stats.total.rejected);
+}
+
+TEST(ServeServer, SloSnapshotReflectsWindowedTraffic) {
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = 2;
+  serve::FleetServer server(registry, opts);
+  Rng rng(20);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(0, 0, feeds));
+  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+  server.drain();
+
+  const telemetry::SloSnapshot snap = server.slo_snapshot(0);
+  EXPECT_EQ(snap.offered, 6u);
+  EXPECT_EQ(snap.completed, 6u);
+  EXPECT_EQ(snap.shed, 0u);
+  EXPECT_EQ(snap.rejected, 0u);
+  EXPECT_EQ(snap.breaches, 0u) << "no deadlines -> no breaches";
+  EXPECT_GT(snap.latency_p50_us, 0.0);
+  EXPECT_LE(snap.latency_p50_us, snap.latency_p99_us);
+  EXPECT_EQ(snap.plan_version, 1u)
+      << "no swap in the window -> the live plan version";
+}
+
+// The flight-recorder acceptance scenario: a seeded deadline-miss storm must
+// produce a validated post-mortem dump whose summary reconstructs at least
+// one full request path (enqueue -> pickup -> launch -> complete).
+TEST(ServeServer, DeadlineMissStormTriggersFlightDump) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "duet-flight-storm-test";
+  fs::remove_all(dir);
+  telemetry::FlightRecorder::instance().clear();
+
+  serve::ModelRegistry registry = tiny_fleet_of_one();
+  serve::FleetOptions opts = one_model_options();
+  opts.workers = 2;
+  opts.queue_capacity = 32;
+  opts.observability.dump_dir = dir.string();
+  opts.observability.trigger.miss_burst = 3;
+  opts.observability.trigger.miss_window_ms = 10e3;
+  serve::FleetServer server(registry, opts);
+  Rng rng(22);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
+
+  // Healthy phase: full request paths land in the rings.
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(0, 0, feeds));
+  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
+  futures.clear();
+
+  // Storm: deadlines already expired at admission, every pickup sheds.
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(server.submit(0, 0, feeds, /*deadline_s=*/1e-9));
+  }
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
+  }
+  server.drain();
+
+  const serve::FleetServerStats stats = server.stats();
+  EXPECT_EQ(stats.flight_dumps, 1u) << "the trigger fires exactly once";
+  EXPECT_GE(stats.slo_breaches, 6u);
+  ASSERT_TRUE(fs::exists(dir / "flight_trace.json"));
+  ASSERT_TRUE(fs::exists(dir / "flight_summary.json"));
+
+  std::ifstream in(dir / "flight_summary.json");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string summary = buffer.str();
+  EXPECT_NE(summary.find("\"reason\":\"deadline-miss-burst\""),
+            std::string::npos);
+  const size_t pos = summary.find("\"complete_paths\":");
+  ASSERT_NE(pos, std::string::npos);
+  const int paths =
+      std::atoi(summary.c_str() + pos + std::strlen("\"complete_paths\":"));
+  EXPECT_GE(paths, 1) << "the dump must reconstruct a full request path";
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,83 +1,23 @@
-// Tests for the serving runtime: bounded-queue semantics, workload
-// generators, the virtual-time queueing simulator, online recalibration,
-// and the real-threaded DuetServer (determinism under concurrency, deadline
-// shedding, reject-on-full, graceful drain, plan-swap equivalence), plus
-// PipelinedRunner determinism the serving stack leans on.
+// Tests for the serving runtime's building blocks: workload generators, the
+// virtual-time simulator serving one model (a fleet of one: one tenant,
+// max_batch = 1), online recalibration, plus PipelinedRunner determinism
+// the serving stack leans on. The real-threaded FleetServer is tested in
+// test_fleet.cpp.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <future>
-#include <sstream>
-#include <thread>
+#include <vector>
 
 #include "device/calibration.hpp"
 #include "duet/engine.hpp"
 #include "models/model_zoo.hpp"
 #include "runtime/pipeline.hpp"
 #include "serve/recalibration.hpp"
-#include "serve/request_queue.hpp"
-#include "serve/server.hpp"
 #include "serve/simulator.hpp"
 #include "serve/workload.hpp"
 
 namespace duet {
 namespace {
-
-using serve::BoundedQueue;
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-
-TEST(ServeQueue, FifoOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(q.try_push(int(i)), BoundedQueue<int>::Push::kAccepted);
-  }
-  EXPECT_EQ(q.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    const auto item = q.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, i);
-  }
-}
-
-TEST(ServeQueue, RefusesWhenFullWithoutConsuming) {
-  BoundedQueue<int> q(2);
-  EXPECT_EQ(q.try_push(1), BoundedQueue<int>::Push::kAccepted);
-  EXPECT_EQ(q.try_push(2), BoundedQueue<int>::Push::kAccepted);
-  int extra = 3;
-  EXPECT_EQ(q.try_push(std::move(extra)), BoundedQueue<int>::Push::kFull);
-  EXPECT_EQ(extra, 3) << "a refused push must leave the item with the caller";
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(ServeQueue, CloseRefusesPushesButDrains) {
-  BoundedQueue<int> q(4);
-  ASSERT_EQ(q.try_push(1), BoundedQueue<int>::Push::kAccepted);
-  ASSERT_EQ(q.try_push(2), BoundedQueue<int>::Push::kAccepted);
-  q.close();
-  EXPECT_EQ(q.try_push(3), BoundedQueue<int>::Push::kClosed);
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value()) << "closed + empty must return nullopt";
-}
-
-TEST(ServeQueue, PopBlocksUntilPush) {
-  BoundedQueue<int> q(4);
-  std::thread consumer([&q] {
-    const auto item = q.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, 42);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(q.try_push(42), BoundedQueue<int>::Push::kAccepted);
-  consumer.join();
-}
 
 // ---------------------------------------------------------------------------
 // Workload generators
@@ -105,19 +45,25 @@ TEST(ServeWorkload, BurstyRateSitsBetweenBaseAndBurst) {
 }
 
 // ---------------------------------------------------------------------------
-// Virtual-time queueing simulator
+// Virtual-time simulator serving one model: simulate_fleet with one tenant
+// and max_batch = 1 (single_model_config) is the FIFO multi-worker queue.
+
+serve::FleetSimStats simulate_one_model(const std::vector<double>& arrivals,
+                                        int workers, size_t queue_capacity,
+                                        double deadline_s = 0.0) {
+  return serve::simulate_fleet(
+      serve::single_model_trace(arrivals), [](int, int64_t) { return 1e-3; },
+      serve::single_model_config(workers, queue_capacity, deadline_s));
+}
 
 TEST(ServeSim, DeterministicReplay) {
   Rng rng(3);
   const auto arrivals = serve::poisson_trace(800.0, 500, rng);
-  const auto service = [](size_t) { return 1e-3; };
-  serve::ServeSimConfig cfg;
-  cfg.workers = 2;
-  const serve::ServeStats a = serve::simulate_serving(arrivals, service, cfg);
-  const serve::ServeStats b = serve::simulate_serving(arrivals, service, cfg);
+  const serve::FleetSimStats a = simulate_one_model(arrivals, 2, 128);
+  const serve::FleetSimStats b = simulate_one_model(arrivals, 2, 128);
   EXPECT_EQ(a.throughput_qps, b.throughput_qps);
   EXPECT_EQ(a.sojourn.p99, b.sojourn.p99);
-  EXPECT_EQ(a.admission.completed, b.admission.completed);
+  EXPECT_EQ(a.total.completed, b.total.completed);
 }
 
 TEST(ServeSim, WorkersScaleSaturatedThroughput) {
@@ -125,15 +71,10 @@ TEST(ServeSim, WorkersScaleSaturatedThroughput) {
   // absorb everything: completion-bound throughput must scale with workers.
   Rng rng(5);
   const auto arrivals = serve::poisson_trace(8000.0, 800, rng);
-  const auto service = [](size_t) { return 1e-3; };
-  serve::ServeSimConfig cfg;
-  cfg.queue_capacity = 1u << 20;
-  cfg.workers = 1;
-  const serve::ServeStats one = serve::simulate_serving(arrivals, service, cfg);
-  cfg.workers = 4;
-  const serve::ServeStats four = serve::simulate_serving(arrivals, service, cfg);
-  EXPECT_EQ(one.admission.completed, 800u);
-  EXPECT_EQ(four.admission.completed, 800u);
+  const serve::FleetSimStats one = simulate_one_model(arrivals, 1, 1u << 20);
+  const serve::FleetSimStats four = simulate_one_model(arrivals, 4, 1u << 20);
+  EXPECT_EQ(one.total.completed, 800u);
+  EXPECT_EQ(four.total.completed, 800u);
   EXPECT_NEAR(one.throughput_qps, 1000.0, 30.0);
   EXPECT_GT(four.throughput_qps, 3.8 * one.throughput_qps);
   EXPECT_LT(four.throughput_qps, 4.2 * one.throughput_qps);
@@ -142,30 +83,22 @@ TEST(ServeSim, WorkersScaleSaturatedThroughput) {
 TEST(ServeSim, AdmissionAccountingConserves) {
   Rng rng(9);
   const auto arrivals = serve::poisson_trace(4000.0, 1000, rng);
-  const auto service = [](size_t) { return 1e-3; };
-  serve::ServeSimConfig cfg;
-  cfg.workers = 1;
-  cfg.queue_capacity = 16;
-  cfg.deadline_s = 5e-3;
-  const serve::ServeStats s = serve::simulate_serving(arrivals, service, cfg);
-  EXPECT_EQ(s.admission.offered, 1000u);
-  EXPECT_EQ(s.admission.offered,
-            s.admission.completed + s.admission.shed + s.admission.rejected);
-  EXPECT_GT(s.admission.rejected, 0u) << "4x overload on a 16-deep queue";
-  EXPECT_GT(s.admission.shed, 0u) << "5 ms deadline at 4x overload";
-  EXPECT_LE(s.admission.completed_late, s.admission.completed);
+  const serve::FleetSimStats s =
+      simulate_one_model(arrivals, 1, 16, /*deadline_s=*/5e-3);
+  EXPECT_EQ(s.total.offered, 1000u);
+  EXPECT_EQ(s.total.offered,
+            s.total.completed + s.total.shed + s.total.rejected);
+  EXPECT_GT(s.total.rejected, 0u) << "4x overload on a 16-deep queue";
+  EXPECT_GT(s.total.shed, 0u) << "5 ms deadline at 4x overload";
+  EXPECT_LE(s.total.completed_late, s.total.completed);
 }
 
 TEST(ServeSim, NoDeadlineNeverSheds) {
   Rng rng(13);
   const auto arrivals = serve::poisson_trace(3000.0, 500, rng);
-  serve::ServeSimConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = 1u << 20;
-  const serve::ServeStats s =
-      serve::simulate_serving(arrivals, [](size_t) { return 1e-3; }, cfg);
-  EXPECT_EQ(s.admission.shed, 0u);
-  EXPECT_EQ(s.admission.completed, 500u);
+  const serve::FleetSimStats s = simulate_one_model(arrivals, 2, 1u << 20);
+  EXPECT_EQ(s.total.shed, 0u);
+  EXPECT_EQ(s.total.completed, 500u);
   EXPECT_GT(s.max_queue_depth, 0u);
 }
 
@@ -274,279 +207,6 @@ TEST(ServeRecal, DriftAccumulatorRecordsTimelines) {
   EXPECT_EQ(obs.total_samples(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// DuetServer
-
-Graph tiny_model() {
-  return models::build_wide_deep(models::WideDeepConfig::tiny());
-}
-
-serve::ServeOptions hetero_options() {
-  serve::ServeOptions o;
-  o.engine.enable_fallback = false;
-  return o;
-}
-
-// Stress knobs for the threaded-server tests. The defaults keep CI fast;
-// the TSan job turns them up (more workers, more in-flight requests) so the
-// race detector sees far more interleavings without a code change:
-//   DUET_SERVE_STRESS_WORKERS  worker-thread count        (default: base)
-//   DUET_SERVE_STRESS_ITERS    request-count multiplier   (default: 1)
-int stress_workers(int base) {
-  if (const char* env = std::getenv("DUET_SERVE_STRESS_WORKERS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return base;
-}
-
-int stress_iters(int base) {
-  if (const char* env = std::getenv("DUET_SERVE_STRESS_ITERS")) {
-    const int mult = std::atoi(env);
-    if (mult > 0) return base * mult;
-  }
-  return base;
-}
-
-TEST(ServeServer, OutputsBitIdenticalForOneAndManyWorkers) {
-  DuetOptions eopts;
-  eopts.enable_fallback = false;
-  DuetEngine reference(tiny_model(), eopts);
-  Rng rng(4);
-  const auto feeds = models::make_random_feeds(reference.model(), rng);
-  const ExecutionResult expect = reference.infer(feeds);
-
-  for (int workers : {1, stress_workers(4)}) {
-    serve::ServeOptions opts = hetero_options();
-    opts.workers = workers;
-    serve::DuetServer server(tiny_model(), opts);
-    std::vector<std::future<serve::Response>> futures;
-    const int requests = stress_iters(6);
-    for (int i = 0; i < requests; ++i) futures.push_back(server.submit(feeds));
-    for (auto& f : futures) {
-      const serve::Response r = f.get();
-      ASSERT_EQ(r.status, serve::RequestStatus::kOk);
-      ASSERT_EQ(r.outputs.size(), expect.outputs.size());
-      for (size_t i = 0; i < r.outputs.size(); ++i) {
-        ASSERT_EQ(r.outputs[i].byte_size(), expect.outputs[i].byte_size());
-        EXPECT_EQ(std::memcmp(r.outputs[i].raw_data(),
-                              expect.outputs[i].raw_data(),
-                              r.outputs[i].byte_size()),
-                  0)
-            << workers << " workers must serve bit-identical outputs";
-      }
-      EXPECT_DOUBLE_EQ(r.modeled_latency_s, expect.latency_s)
-          << "modeled service time is a property of the plan, not the worker";
-    }
-    server.shutdown();
-  }
-}
-
-TEST(ServeServer, ExpiredDeadlinesAreShedNotExecuted) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
-  opts.start_paused = true;
-  opts.default_deadline_s = 1e-4;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(6);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(feeds));
-  // Workers are paused; every deadline expires before service can start.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  server.resume();
-  server.drain();
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
-  }
-  const serve::ServerStats s = server.stats();
-  EXPECT_EQ(s.admission.offered, 4u);
-  EXPECT_EQ(s.admission.accepted, 4u);
-  EXPECT_EQ(s.admission.shed, 4u);
-  EXPECT_EQ(s.admission.completed, 0u);
-}
-
-TEST(ServeServer, FullQueueRejectsImmediately) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 1;
-  opts.queue_capacity = 3;
-  opts.start_paused = true;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(8);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 5; ++i) futures.push_back(server.submit(feeds));
-  // Paused workers: arrivals 4 and 5 found the 3-deep queue full and must
-  // already be resolved as rejected.
-  for (int i = 3; i < 5; ++i) {
-    ASSERT_EQ(futures[static_cast<size_t>(i)].wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get().status,
-              serve::RequestStatus::kRejected);
-  }
-  server.resume();
-  server.drain();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get().status,
-              serve::RequestStatus::kOk);
-  }
-  const serve::ServerStats s = server.stats();
-  EXPECT_EQ(s.admission.offered, 5u);
-  EXPECT_EQ(s.admission.accepted, 3u);
-  EXPECT_EQ(s.admission.rejected, 2u);
-  EXPECT_EQ(s.admission.completed, 3u);
-}
-
-TEST(ServeServer, DrainResolvesEveryInFlightRequest) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = stress_workers(2);
-  const int requests = stress_iters(8);
-  // Scale capacity with the request count so the stress run never trades
-  // drain coverage for reject coverage.
-  opts.queue_capacity = static_cast<size_t>(requests);
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(10);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < requests; ++i) futures.push_back(server.submit(feeds));
-  server.drain();
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
-        << "drain must not return while a request is unresolved";
-    EXPECT_EQ(f.get().status, serve::RequestStatus::kOk);
-  }
-  EXPECT_EQ(server.stats().admission.completed,
-            static_cast<uint64_t>(requests));
-  // A drained server is closed for business.
-  EXPECT_EQ(server.submit(feeds).get().status, serve::RequestStatus::kRejected);
-}
-
-// The threaded twin of the model checker's abstract protocol
-// (analysis/model_check): producers submitting, workers consuming, a swapper
-// flipping placements mid-stream, then drain. Under TSan with the stress env
-// knobs turned up this is the main interleaving amplifier.
-TEST(ServeServer, ConcurrentSubmitSwapDrainStress) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = stress_workers(2);
-  const int per_producer = stress_iters(4);
-  constexpr int kProducers = 2;
-  opts.queue_capacity = static_cast<size_t>(kProducers * per_producer);
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(16);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-
-  std::vector<std::future<serve::Response>> futures[kProducers];
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < per_producer; ++i) {
-        futures[p].push_back(server.submit(feeds));
-      }
-    });
-  }
-  std::thread swapper([&] {
-    Placement flipped = server.current_placement();
-    flipped.flip(0);
-    server.apply_placement(flipped);
-  });
-  for (auto& t : producers) t.join();
-  swapper.join();
-  server.drain();
-
-  uint64_t ok = 0;
-  for (auto& fs : futures) {
-    for (auto& f : fs) {
-      const serve::Response r = f.get();
-      // Admission is closed-loop here (capacity == total submissions), so
-      // every request resolves kOk regardless of swap timing.
-      ASSERT_EQ(r.status, serve::RequestStatus::kOk);
-      ++ok;
-    }
-  }
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.swap_count, 1u);
-  EXPECT_EQ(stats.admission.completed, ok);
-  // Conservation — the invariant the model checker proves exhaustively on
-  // the abstraction must hold on the real implementation too.
-  EXPECT_EQ(stats.admission.offered,
-            stats.admission.completed + stats.admission.shed +
-                stats.admission.rejected);
-}
-
-TEST(ServeServer, PlacementSwapPreservesNumericsExactly) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 1;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(12);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  const serve::Response before = server.submit(feeds).get();
-  ASSERT_EQ(before.status, serve::RequestStatus::kOk);
-
-  Placement flipped = server.current_placement();
-  flipped.flip(0);
-  server.apply_placement(flipped);
-  EXPECT_EQ(server.swap_count(), 1u);
-  EXPECT_EQ(server.current_placement(), flipped);
-
-  const serve::Response after = server.submit(feeds).get();
-  ASSERT_EQ(after.status, serve::RequestStatus::kOk);
-  EXPECT_GT(after.plan_version, before.plan_version);
-  ASSERT_EQ(after.outputs.size(), before.outputs.size());
-  for (size_t i = 0; i < after.outputs.size(); ++i) {
-    ASSERT_EQ(after.outputs[i].byte_size(), before.outputs[i].byte_size());
-    EXPECT_EQ(std::memcmp(after.outputs[i].raw_data(),
-                          before.outputs[i].raw_data(),
-                          after.outputs[i].byte_size()),
-              0)
-        << "a placement swap must never change what the model computes";
-  }
-}
-
-TEST(ServeServer, RecalibrateNowUsesObservedDrift) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
-  opts.recalibration.min_samples = 1;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(14);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(feeds));
-  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
-  server.drain();
-
-  const serve::ServerStats stats = server.stats();
-  EXPECT_GT(stats.drift_samples, 0u);
-  const serve::RecalibrationResult r = server.recalibrate_now();
-  EXPECT_GT(r.overridden_cells, 0u);
-  EXPECT_GT(r.predicted_current_s, 0.0);
-  // Noise-free serving observes exactly the profiled costs, so recalibration
-  // must see no win worth a swap.
-  EXPECT_FALSE(r.swapped);
-  EXPECT_EQ(server.swap_count(), 0u);
-  EXPECT_EQ(server.stats().recalibrations, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Observability (PR 8): windowed SLO view, drift edge cases, flight dumps
-
-TEST(ServeRecal, EmptyWindowRecalibrationIsSafeNoOp) {
-  // A server that has served nothing has an empty SLO window and zero drift
-  // samples; recalibrate_now must skip the scheduler rerun entirely instead
-  // of re-deriving (and possibly swapping to) the offline decision.
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 1;
-  serve::DuetServer server(tiny_model(), opts);
-  const Placement before = server.current_placement();
-  for (int i = 0; i < 2; ++i) {
-    const serve::RecalibrationResult r = server.recalibrate_now();
-    EXPECT_FALSE(r.swapped);
-    EXPECT_EQ(r.overridden_cells, 0u);
-    EXPECT_EQ(r.placement, before);
-  }
-  EXPECT_EQ(server.swap_count(), 0u);
-  EXPECT_EQ(server.current_placement(), before);
-}
-
 TEST(ServeRecal, SingleSampleDriftIsUsableAtMinSamplesOne) {
   RecalFixture f;
   const auto& profiles = f.engine.report().profiles;
@@ -568,128 +228,12 @@ TEST(ServeRecal, SingleSampleDriftIsUsableAtMinSamplesOne) {
   EXPECT_GT(r.predicted_current_s, 0.0);
 }
 
-// Drift recording (workers, under stats_mutex_) racing recalibration's
-// snapshot-and-swap. The TSan job turns the stress knobs up; the assertion
-// here is conservation plus "no crash, no torn accumulator".
-TEST(ServeServer, ConcurrentRecordDuringSwapStress) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = stress_workers(2);
-  opts.recalibration.min_samples = 1;
-  const int requests = stress_iters(8);
-  opts.queue_capacity = static_cast<size_t>(requests);
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(18);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-
-  std::vector<std::future<serve::Response>> futures;
-  std::thread producer([&] {
-    for (int i = 0; i < requests; ++i) futures.push_back(server.submit(feeds));
-  });
-  std::thread recalibrator([&] {
-    for (int i = 0; i < 4; ++i) server.recalibrate_now();
-  });
-  std::thread swapper([&] {
-    Placement flipped = server.current_placement();
-    flipped.flip(0);
-    server.apply_placement(flipped);
-  });
-  producer.join();
-  recalibrator.join();
-  swapper.join();
-  server.drain();
-
-  uint64_t ok = 0;
-  for (auto& f : futures) {
-    ok += f.get().status == serve::RequestStatus::kOk ? 1 : 0;
-  }
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.admission.completed, ok);
-  EXPECT_GE(stats.swap_count, 1u);
-  EXPECT_EQ(stats.admission.offered,
-            stats.admission.completed + stats.admission.shed +
-                stats.admission.rejected);
-}
-
-TEST(ServeServer, SloSnapshotReflectsWindowedTraffic) {
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(20);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(feeds));
-  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
-  server.drain();
-
-  const telemetry::SloSnapshot snap = server.slo_snapshot();
-  EXPECT_EQ(snap.offered, 6u);
-  EXPECT_EQ(snap.completed, 6u);
-  EXPECT_EQ(snap.shed, 0u);
-  EXPECT_EQ(snap.rejected, 0u);
-  EXPECT_EQ(snap.breaches, 0u) << "no deadlines -> no breaches";
-  EXPECT_GT(snap.latency_p50_us, 0.0);
-  EXPECT_LE(snap.latency_p50_us, snap.latency_p99_us);
-  EXPECT_EQ(snap.plan_version, 1u)
-      << "no swap in the window -> the live plan version";
-}
-
-// The PR-8 acceptance scenario: a seeded deadline-miss storm must produce a
-// validated post-mortem dump whose summary reconstructs at least one full
-// request path (enqueue -> pickup -> launch -> complete).
-TEST(ServeServer, DeadlineMissStormTriggersFlightDump) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "duet-flight-storm-test";
-  fs::remove_all(dir);
-  telemetry::FlightRecorder::instance().clear();
-
-  serve::ServeOptions opts = hetero_options();
-  opts.workers = 2;
-  opts.queue_capacity = 32;
-  opts.observability.dump_dir = dir.string();
-  opts.observability.trigger.miss_burst = 3;
-  opts.observability.trigger.miss_window_ms = 10e3;
-  serve::DuetServer server(tiny_model(), opts);
-  Rng rng(22);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
-
-  // Healthy phase: full request paths land in the rings.
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(feeds));
-  for (auto& f : futures) ASSERT_EQ(f.get().status, serve::RequestStatus::kOk);
-  futures.clear();
-
-  // Storm: deadlines already expired at admission, every pickup sheds.
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(server.submit(feeds, /*deadline_s=*/1e-9));
-  }
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().status, serve::RequestStatus::kShed);
-  }
-  server.drain();
-
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.flight_dumps, 1u) << "the trigger fires exactly once";
-  EXPECT_GE(stats.slo_breaches, 6u);
-  ASSERT_TRUE(fs::exists(dir / "flight_trace.json"));
-  ASSERT_TRUE(fs::exists(dir / "flight_summary.json"));
-
-  std::ifstream in(dir / "flight_summary.json");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string summary = buffer.str();
-  EXPECT_NE(summary.find("\"reason\":\"deadline-miss-burst\""),
-            std::string::npos);
-  const size_t pos = summary.find("\"complete_paths\":");
-  ASSERT_NE(pos, std::string::npos);
-  const int paths =
-      std::atoi(summary.c_str() + pos + std::strlen("\"complete_paths\":"));
-  EXPECT_GE(paths, 1) << "the dump must reconstruct a full request path";
-  fs::remove_all(dir);
-}
-
 // ---------------------------------------------------------------------------
 // PipelinedRunner properties the serving stack relies on
+
+Graph tiny_model() {
+  return models::build_wide_deep(models::WideDeepConfig::tiny());
+}
 
 TEST(ServePipeline, NoiseFreeRunsAreIdentical) {
   DuetOptions eopts;

@@ -55,18 +55,18 @@
 // and headline counters to stdout (--json for one JSON document per model).
 //
 // `serve-bench` drives the concurrent serving runtime (src/serve): it runs
-// real traffic through a DuetServer (N worker threads over the shared plan,
-// bounded-queue admission, one online recalibration pass), then replays
-// deterministic open-loop Poisson traces through the virtual-time queueing
-// simulator at a nominal (50% utilization) and a peak (2x capacity) offered
-// load. Reports per-leg throughput, p50/p95/p99 sojourn, shed and reject
-// rates, and the placement-swap count; --json emits one document per model,
-// --out writes a Chrome trace with one span per served request, and
-// --metrics-out writes one Prometheus text exposition of the metrics
-// registry after the run.
+// real traffic through a FleetServer serving the model as a fleet of one
+// (N worker threads over the shared plan, reject-on-full admission, one
+// online recalibration pass), then replays deterministic open-loop Poisson
+// traces through the virtual-time simulator at a nominal (50% utilization)
+// and a peak (2x capacity) offered load. Reports per-leg throughput,
+// p50/p95/p99 sojourn, shed and reject rates, and the placement-swap
+// count; --json emits one document per model, --out writes a Chrome trace
+// with one span per served request, and --metrics-out writes one
+// Prometheus text exposition of the metrics registry after the run.
 //
 // `flight` exercises the always-on flight recorder end to end: it serves a
-// healthy burst through a real DuetServer, then a seeded deadline-miss
+// healthy burst through a real FleetServer, then a seeded deadline-miss
 // storm (requests whose deadlines are already expired at admission), which
 // trips the recorder's burst trigger mid-run and writes the post-mortem
 // dump — <dir>/<model>/flight_trace.json (Chrome trace with per-request
@@ -159,7 +159,6 @@
 #include "serve/batching.hpp"
 #include "serve/fleet.hpp"
 #include "serve/model_registry.hpp"
-#include "serve/server.hpp"
 #include "serve/simulator.hpp"
 #include "serve/workload.hpp"
 #include "telemetry/chrome_trace.hpp"
@@ -647,7 +646,7 @@ struct TelemetryCapture {
 };
 
 // `serve_burst` additionally pushes a short real-threaded burst through a
-// DuetServer so the document covers the serving plane (plan version,
+// FleetServer of one so the document covers the serving plane (plan version,
 // offered/completed/shed/rejected, SLO breaches) — `stats` wants that view,
 // `trace` does not (it would dilute the single-inference trace).
 TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
@@ -661,7 +660,7 @@ TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
   telemetry::MetricsRegistry::instance().reset();
   telemetry::SpanCollector::instance().clear();
 
-  Graph serve_model = model;  // DuetServer below needs its own copy
+  Graph serve_model = model;  // the fleet below needs its own copy
   DuetEngine engine(std::move(model), options);
   Rng rng(1);
   const auto feeds = models::make_random_feeds(engine.model(), rng);
@@ -670,22 +669,25 @@ TelemetryCapture capture_telemetry(const std::string& label, duet::Graph model,
 
   TelemetryCapture cap;
   if (serve_burst) {
-    serve::ServeOptions sopts;
-    sopts.workers = 2;
-    sopts.queue_capacity = 16;
-    sopts.engine = options;
-    serve::DuetServer server(std::move(serve_model), sopts);
-    std::vector<std::future<serve::Response>> futures;
-    for (int i = 0; i < 8; ++i) futures.push_back(server.submit(feeds));
+    serve::ModelRegistry registry =
+        serve::single_model_registry(std::move(serve_model), options);
+    serve::FleetOptions fopts;
+    fopts.workers = 2;
+    fopts.queue_capacity = 16;
+    fopts.max_batch = 1;
+    serve::FleetServer server(registry, fopts);
+    std::vector<std::future<serve::FleetResponse>> futures;
+    for (int i = 0; i < 8; ++i) futures.push_back(server.submit(0, 0, feeds));
     for (auto& f : futures) f.get();
     server.drain();
-    const serve::ServerStats ss = server.stats();
+    const serve::FleetServerStats ss = server.stats();
     std::string s = "{";
-    s += "\"plan_version\":" + std::to_string(ss.plan_version) + ",";
-    s += "\"offered\":" + std::to_string(ss.admission.offered) + ",";
-    s += "\"completed\":" + std::to_string(ss.admission.completed) + ",";
-    s += "\"shed\":" + std::to_string(ss.admission.shed) + ",";
-    s += "\"rejected\":" + std::to_string(ss.admission.rejected) + ",";
+    s += "\"plan_version\":" +
+         std::to_string(registry.model(0).plan_version()) + ",";
+    s += "\"offered\":" + std::to_string(ss.total.offered) + ",";
+    s += "\"completed\":" + std::to_string(ss.total.completed) + ",";
+    s += "\"shed\":" + std::to_string(ss.total.shed) + ",";
+    s += "\"rejected\":" + std::to_string(ss.total.rejected) + ",";
     s += "\"slo_breaches\":" + std::to_string(ss.slo_breaches) + ",";
     s += "\"flight_dumps\":" + std::to_string(ss.flight_dumps) + ",";
     s += "\"recalibrations\":" + std::to_string(ss.recalibrations) + ",";
@@ -902,7 +904,8 @@ struct ServeBenchConfig {
 };
 
 // {"offered_qps":...,"throughput_qps":...,"p50_s":...,...}
-std::string serve_leg_json(double offered, const duet::serve::ServeStats& s) {
+std::string serve_leg_json(double offered,
+                           const duet::serve::FleetSimStats& s) {
   using duet::telemetry::json_number;
   std::string out = "{";
   out += "\"offered_qps\":" + json_number(offered) + ",";
@@ -911,19 +914,20 @@ std::string serve_leg_json(double offered, const duet::serve::ServeStats& s) {
   out += "\"p95_s\":" + json_number(s.sojourn.p95) + ",";
   out += "\"p99_s\":" + json_number(s.sojourn.p99) + ",";
   out += "\"mean_s\":" + json_number(s.sojourn.mean) + ",";
-  out += "\"shed_rate\":" + json_number(s.admission.shed_rate()) + ",";
-  out += "\"reject_rate\":" + json_number(s.admission.reject_rate()) + ",";
-  out += "\"completed\":" + std::to_string(s.admission.completed) + ",";
-  out += "\"completed_late\":" + std::to_string(s.admission.completed_late) + ",";
+  out += "\"shed_rate\":" + json_number(s.total.shed_rate()) + ",";
+  out += "\"reject_rate\":" + json_number(s.total.reject_rate()) + ",";
+  out += "\"completed\":" + std::to_string(s.total.completed) + ",";
+  out += "\"completed_late\":" + std::to_string(s.total.completed_late) + ",";
   out += "\"worker_busy_frac\":" + json_number(s.worker_busy_frac) + ",";
   out += "\"max_queue_depth\":" + std::to_string(s.max_queue_depth) + "}";
   return out;
 }
 
-// One model through the serving bench: a real-threaded DuetServer leg (with
-// one recalibration pass), then deterministic virtual-time legs at nominal
-// and peak offered load, plus the single-worker saturation baseline every
-// throughput claim is measured against.
+// One model through the serving bench: a real-threaded leg through a
+// FleetServer of one (with one recalibration pass), then deterministic
+// virtual-time legs at nominal and peak offered load, plus the
+// single-worker saturation baseline every throughput claim is measured
+// against.
 bool serve_bench_one(const std::string& label, duet::Graph model,
                      const ServeBenchConfig& cfg) {
   using namespace duet;
@@ -938,34 +942,39 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
   if (want_trace) telemetry::SpanCollector::instance().clear();
   if (want_metrics) telemetry::MetricsRegistry::instance().reset();
 
-  serve::ServeOptions sopts;
-  sopts.workers = cfg.workers;
-  sopts.queue_capacity = static_cast<size_t>(std::max(cfg.server_requests, 16));
-  sopts.engine.scheduler = cfg.scheduler;
-  sopts.engine.seed = cfg.seed;
-  serve::DuetServer server(std::move(model), sopts);
+  DuetOptions engine;
+  engine.scheduler = cfg.scheduler;
+  engine.seed = cfg.seed;
+  serve::ModelRegistry registry =
+      serve::single_model_registry(std::move(model), engine);
+  serve::FleetOptions fopts;
+  fopts.workers = cfg.workers;
+  fopts.queue_capacity = static_cast<size_t>(std::max(cfg.server_requests, 16));
+  fopts.max_batch = 1;
+  serve::FleetServer server(registry, fopts);
 
   // Real-threaded leg: submit a burst, drain it, then one recalibration
   // pass against the drift the workers just recorded.
   Rng feed_rng(1);
-  const auto feeds = models::make_random_feeds(server.engine().model(), feed_rng);
-  std::vector<std::future<serve::Response>> futures;
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), feed_rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
   futures.reserve(static_cast<size_t>(cfg.server_requests));
   for (int i = 0; i < cfg.server_requests; ++i) {
-    futures.push_back(server.submit(feeds));
+    futures.push_back(server.submit(0, 0, feeds));
   }
   size_t server_ok = 0;
   double service_s = 0.0;  // modeled service time (noise off: constant)
   for (auto& f : futures) {
-    const serve::Response r = f.get();
+    const serve::FleetResponse r = f.get();
     if (r.status == serve::RequestStatus::kOk) {
       ++server_ok;
       service_s = r.modeled_latency_s;
     }
   }
   server.drain();
-  const serve::RecalibrationResult recal = server.recalibrate_now();
-  const serve::ServerStats sstats = server.stats();
+  const serve::RecalibrationResult recal = server.recalibrate_now(0);
+  const serve::FleetServerStats sstats = server.stats();
   if (service_s <= 0.0) {
     std::printf("FAIL (no request completed)\n");
     return false;
@@ -979,27 +988,17 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
   const double peak_qps = 2.0 * saturation_qps;
   const double deadline_s =
       cfg.deadline_ms > 0.0 ? cfg.deadline_ms / 1e3 : 10.0 * service_s;
-  const auto service = [service_s](size_t) { return service_s; };
-
-  serve::ServeSimConfig sim;
-  sim.queue_capacity = 128;
-  sim.deadline_s = deadline_s;
-
-  Rng trace_rng(cfg.seed + 7);
-  sim.workers = 1;
-  const serve::ServeStats sequential = serve::simulate_serving(
-      serve::poisson_trace(peak_qps, cfg.requests, trace_rng), service, sim);
-
-  Rng nominal_rng(cfg.seed + 7);
-  sim.workers = cfg.workers;
-  const std::vector<double> nominal_arrivals =
-      serve::poisson_trace(nominal_qps, cfg.requests, nominal_rng);
-  const serve::ServeStats nominal =
-      serve::simulate_serving(nominal_arrivals, service, sim);
-
-  Rng peak_rng(cfg.seed + 7);
-  const serve::ServeStats peak = serve::simulate_serving(
-      serve::poisson_trace(peak_qps, cfg.requests, peak_rng), service, sim);
+  const auto service = [service_s](int, int64_t) { return service_s; };
+  const auto leg = [&](double qps, int workers) {
+    Rng rng(cfg.seed + 7);
+    return serve::simulate_fleet(
+        serve::single_model_trace(
+            serve::poisson_trace(qps, cfg.requests, rng)),
+        service, serve::single_model_config(workers, 128, deadline_s));
+  };
+  const serve::FleetSimStats sequential = leg(peak_qps, 1);
+  const serve::FleetSimStats nominal = leg(nominal_qps, cfg.workers);
+  const serve::FleetSimStats peak = leg(peak_qps, cfg.workers);
 
   const double speedup = sequential.throughput_qps > 0.0
                              ? peak.throughput_qps / sequential.throughput_qps
@@ -1057,9 +1056,9 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
     doc += "\"peak\":" + serve_leg_json(peak_qps, peak) + ",";
     doc += "\"server\":{";
     doc += "\"requests\":" + std::to_string(cfg.server_requests) + ",";
-    doc += "\"completed\":" + std::to_string(sstats.admission.completed) + ",";
-    doc += "\"rejected\":" + std::to_string(sstats.admission.rejected) + ",";
-    doc += "\"shed\":" + std::to_string(sstats.admission.shed) + ",";
+    doc += "\"completed\":" + std::to_string(sstats.total.completed) + ",";
+    doc += "\"rejected\":" + std::to_string(sstats.total.rejected) + ",";
+    doc += "\"shed\":" + std::to_string(sstats.total.shed) + ",";
     doc += "\"wall_wait_p95_s\":" + json_number(sstats.wall_wait.p95) + ",";
     doc += "\"modeled_mean_s\":" + json_number(sstats.modeled_latency.mean) + ",";
     doc += "\"drift_samples\":" + std::to_string(sstats.drift_samples) + ",";
@@ -1083,7 +1082,7 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
         "%llu swaps\n",
         sequential.throughput_qps, cfg.workers, peak.throughput_qps, speedup,
         nominal.sojourn.p50 * 1e3, nominal.sojourn.p95 * 1e3,
-        nominal.sojourn.p99 * 1e3, 100.0 * nominal.admission.shed_rate(),
+        nominal.sojourn.p99 * 1e3, 100.0 * nominal.total.shed_rate(),
         server_ok, cfg.server_requests,
         static_cast<unsigned long long>(sstats.recalibrations),
         static_cast<unsigned long long>(sstats.swap_count));
@@ -1091,9 +1090,9 @@ bool serve_bench_one(const std::string& label, duet::Graph model,
   return server_ok > 0 && trace_ok && metrics_ok;
 }
 
-// Multi-tenant fleet configuration for `serve-bench` (ISSUE 10): engaged by
-// --tenants / --max-batch / --models, it fronts a ModelRegistry with the
-// FleetServer instead of one DuetServer per model.
+// Multi-tenant fleet configuration for `serve-bench`: engaged by --tenants /
+// --max-batch / --models, it fronts one ModelRegistry of every named model
+// with one FleetServer instead of a fleet of one per model.
 struct FleetBenchConfig {
   int workers = 2;
   int tenants = 3;        // gold/silver/bronze by default
@@ -1397,7 +1396,7 @@ struct FlightConfig {
   std::string scheduler = "greedy-correction";
 };
 
-// Seeded deadline-miss storm through a real DuetServer. A healthy burst
+// Seeded deadline-miss storm through a real FleetServer of one. A healthy burst
 // fills the rings with normal traffic, then `storm` requests arrive with
 // deadlines that expired before admission — every pickup sheds, the
 // miss-burst trigger fires mid-run, and the server writes the post-mortem
@@ -1412,24 +1411,29 @@ bool flight_one(const std::string& label, duet::Graph model,
 
   const std::filesystem::path dir = std::filesystem::path(cfg.dump_dir) / label;
 
-  serve::ServeOptions sopts;
-  sopts.workers = cfg.workers;
-  sopts.queue_capacity =
+  DuetOptions engine;
+  engine.scheduler = cfg.scheduler;
+  engine.seed = cfg.seed;
+  serve::ModelRegistry registry =
+      serve::single_model_registry(std::move(model), engine);
+  serve::FleetOptions fopts;
+  fopts.workers = cfg.workers;
+  fopts.queue_capacity =
       static_cast<size_t>(cfg.requests) + static_cast<size_t>(cfg.storm) + 8;
-  sopts.engine.scheduler = cfg.scheduler;
-  sopts.engine.seed = cfg.seed;
-  sopts.observability.dump_dir = dir.string();
-  sopts.observability.trigger.miss_burst = 3;
-  sopts.observability.trigger.miss_window_ms = 10e3;
-  serve::DuetServer server(std::move(model), sopts);
+  fopts.max_batch = 1;
+  fopts.observability.dump_dir = dir.string();
+  fopts.observability.trigger.miss_burst = 3;
+  fopts.observability.trigger.miss_window_ms = 10e3;
+  serve::FleetServer server(registry, fopts);
 
   Rng rng(cfg.seed);
-  const auto feeds = models::make_random_feeds(server.engine().model(), rng);
+  const auto feeds =
+      models::make_random_feeds(registry.model(0).engine().model(), rng);
 
-  std::vector<std::future<serve::Response>> futures;
+  std::vector<std::future<serve::FleetResponse>> futures;
   futures.reserve(static_cast<size_t>(cfg.requests));
   for (int i = 0; i < cfg.requests; ++i) {
-    futures.push_back(server.submit(feeds));
+    futures.push_back(server.submit(0, 0, feeds));
   }
   size_t ok = 0;
   for (auto& f : futures) {
@@ -1438,7 +1442,7 @@ bool flight_one(const std::string& label, duet::Graph model,
   futures.clear();
 
   for (int i = 0; i < cfg.storm; ++i) {
-    futures.push_back(server.submit(feeds, /*deadline_s=*/1e-9));
+    futures.push_back(server.submit(0, 0, feeds, /*deadline_s=*/1e-9));
   }
   size_t shed = 0;
   for (auto& f : futures) {
@@ -1446,7 +1450,7 @@ bool flight_one(const std::string& label, duet::Graph model,
   }
   server.drain();
 
-  const serve::ServerStats stats = server.stats();
+  const serve::FleetServerStats stats = server.stats();
   const std::filesystem::path trace_path = dir / "flight_trace.json";
   const std::filesystem::path summary_path = dir / "flight_summary.json";
   const bool dumped = stats.flight_dumps > 0 &&
