@@ -6,7 +6,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "models/model_zoo.hpp"
+#include "rng_oracle.hpp"
 #include "tensor/kernels.hpp"
 
 namespace {
@@ -98,6 +103,63 @@ void BM_Attention(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Attention)->Arg(16)->Arg(64)->UseRealTime();
+
+// --- weight generation ---------------------------------------------------------
+// Each bulk sampler against the serial std code it reproduces bit for bit
+// (tests/rng_oracle.hpp); s_per_float is the time per generated float. Then
+// the build of each full-size zoo model, which drawing its weights dominates.
+
+enum class Sampler { kFillNormal, kFillNormalOracle, kPerElement, kPerElementOracle };
+
+void BM_WeightSampler(benchmark::State& state, Sampler sampler) {
+  const auto n = static_cast<size_t>(state.range(0));
+  std::vector<float> out(n);
+  Rng rng(1);
+  std::mt19937_64 engine(1);
+  for (auto _ : state) {
+    switch (sampler) {
+      case Sampler::kFillNormal:
+        rng.fill_normal(out.data(), n, 0.05f);
+        break;
+      case Sampler::kFillNormalOracle:
+        duet::oracle::fill_normal(engine, out.data(), n, 0.05f);
+        break;
+      case Sampler::kPerElement:
+        rng.fill_normal_per_element(out.data(), n, 0.05);
+        break;
+      case Sampler::kPerElementOracle:
+        duet::oracle::fill_normal_per_element(engine, out.data(), n, 0.05);
+        break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["s_per_float"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_WeightSampler, fill_normal, Sampler::kFillNormal)
+    ->Arg(64)->Arg(4096)->Arg(1'000'000)->Arg(16'000'000);
+BENCHMARK_CAPTURE(BM_WeightSampler, fill_normal_oracle, Sampler::kFillNormalOracle)
+    ->Arg(64)->Arg(4096)->Arg(1'000'000)->Arg(16'000'000);
+BENCHMARK_CAPTURE(BM_WeightSampler, per_element, Sampler::kPerElement)
+    ->Arg(64)->Arg(4096)->Arg(1'000'000)->Arg(16'000'000);
+BENCHMARK_CAPTURE(BM_WeightSampler, per_element_oracle, Sampler::kPerElementOracle)
+    ->Arg(64)->Arg(4096)->Arg(1'000'000)->Arg(16'000'000);
+
+// One full-size zoo model per argument, in zoo_model_names() order.
+void BM_ZooBuild(benchmark::State& state) {
+  const std::string& name =
+      duet::models::zoo_model_names().at(static_cast<size_t>(state.range(0)));
+  state.SetLabel(name);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(duet::models::build_by_name(name));
+  }
+}
+BENCHMARK(BM_ZooBuild)
+    ->DenseRange(0, 10)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -37,17 +37,17 @@ std::string Diagnostic::to_string() const {
 
 void VerifyResult::error(std::string rule, NodeId node, std::string message) {
   add({Diagnostic::Severity::kError, std::move(rule), node, -1, {},
-       std::move(message)});
+       std::move(message), {}});
 }
 
 void VerifyResult::error_sub(std::string rule, int subgraph, std::string message) {
   add({Diagnostic::Severity::kError, std::move(rule), kInvalidNode, subgraph, {},
-       std::move(message)});
+       std::move(message), {}});
 }
 
 void VerifyResult::warning(std::string rule, NodeId node, std::string message) {
   add({Diagnostic::Severity::kWarning, std::move(rule), node, -1, {},
-       std::move(message)});
+       std::move(message), {}});
 }
 
 void VerifyResult::merge(VerifyResult other) {

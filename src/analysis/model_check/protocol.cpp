@@ -116,9 +116,8 @@ std::vector<Transition> Protocol::enabled(const ProtocolState& s) const {
     switch (t.pc) {
       case kProdOffer:
         // Atomic fetch_add, or the load half of the seeded lost-update bug.
-        add(p, 0, kVarOffered, config_.variant == Variant::kNonAtomicCounter
-                                   ? 0
-                                   : kVarOffered,
+        add(p, 0, kVarOffered,
+            config_.variant == Variant::kNonAtomicCounter ? 0u : uint32_t{kVarOffered},
             "offer");
         break;
       case kProdOfferWrite:
@@ -221,7 +220,7 @@ ProtocolState Protocol::apply(const ProtocolState& s, const Transition& t,
           ++n.accepted;
         }
         --th.a;
-        th.pc = th.a == 0 ? ProtocolState::kDone : kProdOffer;
+        th.pc = th.a == 0 ? ProtocolState::kDone : static_cast<uint8_t>(kProdOffer);
         break;
       default:
         break;
@@ -278,7 +277,7 @@ ProtocolState Protocol::apply(const ProtocolState& s, const Transition& t,
     } else {
       n.retired = static_cast<uint8_t>(n.retired | (1u << th.b));
       --th.a;
-      th.pc = th.a == 0 ? ProtocolState::kDone : kSwapBump;
+      th.pc = th.a == 0 ? ProtocolState::kDone : static_cast<uint8_t>(kSwapBump);
     }
   } else {
     n.draining = 1;

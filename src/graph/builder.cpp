@@ -51,13 +51,8 @@ NodeId GraphBuilder::conv2d(NodeId x, int64_t out_channels, int kernel, int stri
   DUET_CHECK_EQ(xs.rank(), 4u) << "conv2d input must be NCHW";
   const int64_t in_channels = xs.dim(1);
   Tensor w(Shape{out_channels, in_channels, kernel, kernel});
-  {
-    const float stddev = std::sqrt(
-        2.0f / static_cast<float>(in_channels * kernel * kernel));
-    std::vector<float> tmp(static_cast<size_t>(w.numel()));
-    rng_.fill_normal(tmp, stddev);
-    std::copy(tmp.begin(), tmp.end(), w.data<float>());
-  }
+  const float stddev = std::sqrt(2.0f / static_cast<float>(in_channels * kernel * kernel));
+  rng_.fill_normal(w.data<float>(), static_cast<size_t>(w.numel()), stddev);
   const NodeId wn = constant(std::move(w), name.empty() ? "" : name + ".w");
   const NodeId bn = constant(Tensor::zeros(Shape{out_channels}),
                              name.empty() ? "" : name + ".b");
@@ -103,9 +98,7 @@ NodeId GraphBuilder::gru(NodeId x, int64_t hidden, const std::string& name) {
 NodeId GraphBuilder::embedding(NodeId indices, int64_t vocab, int64_t dim,
                                const std::string& name) {
   Tensor table(Shape{vocab, dim});
-  std::vector<float> tmp(static_cast<size_t>(table.numel()));
-  rng_.fill_normal(tmp, 0.05f);
-  std::copy(tmp.begin(), tmp.end(), table.data<float>());
+  rng_.fill_normal(table.data<float>(), static_cast<size_t>(table.numel()), 0.05f);
   const NodeId t = constant(std::move(table), name.empty() ? "" : name + ".table");
   return graph_.add_node(OpType::kEmbedding, {indices, t}, {}, name);
 }

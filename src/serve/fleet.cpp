@@ -95,6 +95,7 @@ std::future<FleetResponse> FleetServer::submit(int model, int tenant,
   request.deadline_s = pending.deadline_s;
 
   counters_[t].offered.fetch_add(1, std::memory_order_relaxed);
+  tenant_metrics_[t].offered->add(1);
 
   bool accepted = false;
   uint64_t depth = 0;
@@ -115,7 +116,6 @@ std::future<FleetResponse> FleetServer::submit(int model, int tenant,
   if (accepted) {
     counters_[t].accepted.fetch_add(1, std::memory_order_relaxed);
     FlightRecorder::instance().record(FlightKind::kEnqueue, id, depth);
-    tenant_metrics_[t].offered->add(1);
     queue_cv_.notify_one();
     return future;
   }

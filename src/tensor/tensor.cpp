@@ -107,10 +107,7 @@ Tensor Tensor::full(Shape shape, float value) {
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
   Tensor t(std::move(shape), DType::kFloat32);
-  float* p = t.data<float>();
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    p[i] = static_cast<float>(rng.normal(0.0, stddev));
-  }
+  rng.fill_normal_per_element(t.data<float>(), static_cast<size_t>(t.numel()), stddev);
   return t;
 }
 

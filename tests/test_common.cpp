@@ -4,13 +4,18 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/threadpool.hpp"
+#include "rng_oracle.hpp"
 
 namespace duet {
 namespace {
@@ -146,6 +151,115 @@ TEST(Rng, ShuffleIsPermutation) {
   std::multiset<int> b(original.begin(), original.end());
   EXPECT_EQ(a, b);
 }
+
+// --- rng: the engine twin and the bulk weight samplers ------------------------
+
+// Index of the first element whose bits differ, or n when all match.
+size_t first_bit_mismatch(const std::vector<float>& a, const std::vector<float>& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return i;
+  }
+  return a.size();
+}
+
+TEST(Rng, TwinMatchesStdMt19937_64) {
+  // The standard fixes this value: the 10000th output of a default-seeded
+  // mt19937_64.
+  Mt19937_64 standard;
+  for (int i = 1; i < 10000; ++i) standard();
+  EXPECT_EQ(standard(), 9981545732273789042ULL);
+
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
+    Mt19937_64 twin(seed);
+    std::mt19937_64 ref(seed);
+    size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) mismatches += twin() != ref();
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+
+    // 10^6 is not a multiple of 312, so this copy is taken mid-block; it and
+    // its source continue the sequence, one word at a time and in bulk.
+    Mt19937_64 copy = twin;
+    std::vector<uint64_t> bulk(1000);
+    copy.fill(bulk.data(), bulk.size());
+    for (size_t i = 0; i < bulk.size(); ++i) {
+      const uint64_t want = ref();
+      ASSERT_EQ(bulk[i], want) << "seed " << seed << " bulk word " << i;
+      ASSERT_EQ(twin(), want) << "seed " << seed << " word " << i;
+    }
+    EXPECT_EQ(copy(), twin());
+  }
+}
+
+TEST(Rng, FirstDrawsForSeed42AreFixed) {
+  Mt19937_64 engine(42);
+  EXPECT_EQ(engine(), 13930160852258120406ULL);
+  EXPECT_EQ(engine(), 11788048577503494824ULL);
+  EXPECT_EQ(engine(), 13874630024467741450ULL);
+
+  const std::vector<float> paired = {0x1.68f44p-1f, 0x1.4b37d2p+0f, -0x1.25efc2p-1f,
+                                     0x1.97876p-2f, -0x1.e81c8ap+0f};
+  const std::vector<float> per_element = {0x1.68f438p-1f, -0x1.25efc2p-1f,
+                                          -0x1.e81c88p+0f, -0x1.72c03ep-1f,
+                                          0x1.ebf05ap-7f};
+  std::vector<float> got(5);
+  Rng a(42);
+  a.fill_normal(got.data(), got.size(), 1.0f);
+  EXPECT_EQ(first_bit_mismatch(got, paired), got.size());
+  Rng b(42);
+  b.fill_normal_per_element(got.data(), got.size(), 1.0);
+  EXPECT_EQ(first_bit_mismatch(got, per_element), got.size());
+}
+
+TEST(Rng, BulkSamplersKeepTheirDistribution) {
+  Rng rng(11);
+  std::vector<float> v(200'000);
+  rng.fill_normal(v.data(), v.size(), 2.0f);
+  const std::vector<double> paired(v.begin(), v.end());
+  EXPECT_NEAR(mean_of(paired), 0.0, 0.02);
+  EXPECT_NEAR(stddev_of(paired), 2.0, 0.02);
+  rng.fill_normal_per_element(v.data(), v.size(), 0.5);
+  const std::vector<double> single(v.begin(), v.end());
+  EXPECT_NEAR(mean_of(single), 0.0, 0.005);
+  EXPECT_NEAR(stddev_of(single), 0.5, 0.005);
+}
+
+#ifdef __GLIBCXX__
+// The samplers reproduce libstdc++'s normal_distribution, whose algorithm the
+// standard leaves to the library, so the oracle comparison is libstdc++-only.
+TEST(Rng, BulkSamplersMatchSerialOracle) {
+  const size_t round = Rng::kRoundPairs;  // per-element: pairs = elements
+  const std::vector<size_t> sizes = {0,         1,         2,         3,
+                                     311,       312,       313,       round - 1,
+                                     round,     round + 1, 2 * round - 1,
+                                     2 * round, 2 * round + 1, 1'000'000,
+                                     1'000'001};
+  // seed 42 starts each fill seven words into an engine block.
+  for (const auto& [seed, skip] : {std::pair<uint64_t, int>{3, 0}, {42, 7}}) {
+    for (const float stddev : {1.0f, 0.05f, 2.5f}) {
+      for (const size_t n : sizes) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " stddev " << stddev
+                                          << " n " << n);
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::uniform_real_distribution<double> uniform(0.0, 1.0);
+        for (int i = 0; i < skip; ++i) ASSERT_EQ(rng.uniform(), uniform(ref));
+        std::vector<float> got(n);
+        std::vector<float> want(n);
+
+        rng.fill_normal(got.data(), n, stddev);
+        oracle::fill_normal(ref, want.data(), n, stddev);
+        EXPECT_EQ(first_bit_mismatch(got, want), n) << "fill_normal";
+        EXPECT_EQ(rng.uniform(), uniform(ref)) << "engine after fill_normal";
+
+        rng.fill_normal_per_element(got.data(), n, stddev);
+        oracle::fill_normal_per_element(ref, want.data(), n, stddev);
+        EXPECT_EQ(first_bit_mismatch(got, want), n) << "fill_normal_per_element";
+        EXPECT_EQ(rng.uniform(), uniform(ref)) << "engine after fill_normal_per_element";
+      }
+    }
+  }
+}
+#endif
 
 // --- strings -----------------------------------------------------------------
 

@@ -610,6 +610,54 @@ TEST_F(FleetServerTest, PerTenantConservationAndRejects) {
   EXPECT_EQ(stats.total.completed, 4u);
 }
 
+// The fleet.offered.<tenant> series counts every arrival, rejected or not,
+// as the admission counters in stats() do.
+TEST_F(FleetServerTest, OfferedMetricCountsRejectedArrivals) {
+  telemetry::ScopedTelemetry on(true);
+  ModelRegistry registry(tiny_options());
+  const int idx = registry.register_model(
+      "wide-deep", models::zoo_batched_factory("wide-deep", /*tiny=*/true));
+
+  serve::FleetOptions options;
+  options.workers = 1;
+  options.queue_capacity = 1;
+  options.tenants = serve::default_tenant_classes(2);
+  options.start_paused = true;  // the first arrival fills the queue
+  // Metrics live for the process, so the test reads their deltas.
+  std::vector<uint64_t> offered_before;
+  std::vector<uint64_t> rejected_before;
+  for (const TenantClass& t : options.tenants) {
+    offered_before.push_back(telemetry::counter("fleet.offered." + t.name).value());
+    rejected_before.push_back(telemetry::counter("fleet.rejected." + t.name).value());
+  }
+  serve::FleetServer server(registry, options);
+
+  Rng rng(5);
+  const auto feeds =
+      models::make_random_feeds(registry.model(idx).engine().model(), rng);
+  std::vector<std::future<serve::FleetResponse>> futures;
+  for (int i = 0; i < 6; ++i) futures.push_back(server.submit(idx, i % 2, feeds));
+  server.resume();
+  server.drain();
+  for (auto& f : futures) f.get();
+
+  const serve::FleetServerStats stats = server.stats();
+  ASSERT_EQ(stats.tenants.size(), 2u);
+  EXPECT_EQ(stats.total.rejected, 5u);
+  for (size_t t = 0; t < options.tenants.size(); ++t) {
+    const std::string& name = options.tenants[t].name;
+    const uint64_t offered =
+        telemetry::counter("fleet.offered." + name).value() - offered_before[t];
+    const uint64_t rejected =
+        telemetry::counter("fleet.rejected." + name).value() - rejected_before[t];
+    const auto& admission = stats.tenants[t].admission;
+    EXPECT_GT(rejected, 0u) << name;
+    EXPECT_EQ(rejected, admission.rejected) << name;
+    EXPECT_EQ(offered, admission.accepted + rejected) << name;
+    EXPECT_EQ(offered, admission.offered) << name;
+  }
+}
+
 TEST_F(FleetServerTest, ServesMultipleResidentModels) {
   ModelRegistry registry(tiny_options());
   const int wd = registry.register_model(

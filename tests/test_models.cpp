@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <set>
 
 #include "models/model_zoo.hpp"
 #include "partition/partitioner.hpp"
+#include "rng_oracle.hpp"
 
 namespace duet {
 namespace {
@@ -203,6 +207,87 @@ TEST(ModelZoo, AllFullSizeModelsValidate) {
     EXPECT_NO_THROW(build_by_name(name).validate()) << name;
   }
 }
+
+#ifdef __GLIBCXX__
+// --- weights against the serial generators ------------------------------------
+// (libstdc++-only: the bulk samplers reproduce its normal_distribution.)
+
+// Which sampler the builder drew a constant from, read off the op that
+// consumes it: conv2d and embedding use fill_normal, GraphBuilder::weight
+// (dense, LSTM, GRU, attention) uses Tensor::randn.
+enum class Draw { kNone, kFillNormal, kRandn };
+
+Draw draw_of(const Graph& g, NodeId constant) {
+  for (NodeId user : g.consumers(constant)) {
+    const Node& n = g.node(user);
+    const auto slot = std::find(n.inputs.begin(), n.inputs.end(), constant) - n.inputs.begin();
+    switch (n.op) {
+      case OpType::kConv2d:
+      case OpType::kEmbedding:
+        if (slot == 1) return Draw::kFillNormal;
+        break;
+      case OpType::kDense:
+        if (slot == 1) return Draw::kRandn;
+        break;
+      case OpType::kLSTM:
+      case OpType::kGRU:
+      case OpType::kMultiHeadAttention:
+        if (slot == 1 || slot == 2) return Draw::kRandn;
+        break;
+      default:
+        break;
+    }
+  }
+  return Draw::kNone;
+}
+
+// Redraws every random constant of `g` in construction order from the serial
+// std generators, with the builder's stddevs, and compares bit for bit. A
+// constant no sampler drew (zeros, ones) must hold a single value, so a
+// random constant the classification missed fails the check.
+void expect_weights_match_oracle(const Graph& g, uint64_t seed) {
+  std::mt19937_64 engine(seed);
+  size_t drawn = 0;
+  for (NodeId id : g.constant_ids()) {
+    const Tensor& value = g.node(id).value;
+    const auto n = static_cast<size_t>(value.numel());
+    const float* got = value.data<float>();
+    std::vector<float> want(n);
+    const Shape& s = value.shape();
+    switch (draw_of(g, id)) {
+      case Draw::kFillNormal: {
+        const float stddev = s.rank() == 4
+                                 ? std::sqrt(2.0f / static_cast<float>(s.dim(1) * s.dim(2) * s.dim(3)))
+                                 : 0.05f;
+        oracle::fill_normal(engine, want.data(), n, stddev);
+        break;
+      }
+      case Draw::kRandn:
+        oracle::fill_normal_per_element(
+            engine, want.data(), n, std::sqrt(2.0f / static_cast<float>(std::max<int64_t>(s.dim(0), 1))));
+        break;
+      case Draw::kNone:
+        std::fill(want.begin(), want.end(), n > 0 ? got[0] : 0.0f);
+        break;
+    }
+    drawn += draw_of(g, id) != Draw::kNone;
+    ASSERT_EQ(std::memcmp(got, want.data(), n * sizeof(float)), 0)
+        << g.name() << " constant " << id << " (" << g.node(id).name << ")";
+  }
+  EXPECT_GT(drawn, 0u) << g.name();
+}
+
+TEST(ModelZoo, TinyZooWeightsMatchSerialOracle) {
+  for (const std::string& name : zoo_model_names()) {
+    SCOPED_TRACE(name);
+    expect_weights_match_oracle(build_by_name_batched(name, 1, /*tiny=*/true, 42), 42);
+  }
+}
+
+TEST(ModelZoo, FullSizeWideDeepWeightsMatchSerialOracle) {
+  expect_weights_match_oracle(build_wide_deep(WideDeepConfig{}, 42), 42);
+}
+#endif
 
 }  // namespace
 }  // namespace duet
